@@ -271,27 +271,19 @@ CompileResult compile_lies(const topo::Topology& topo,
     }
   }
 
-  // Wire realizability: every lie becomes an External-LSA whose identity is
-  // the prefix network with the lie id folded into the host bits (appendix
-  // E). Ids colliding modulo 2^(32-len) share one identity and would
-  // silently supersede each other in every LSDB -- refuse to emit such a
-  // set (possible once more than 2^(32-len) lies coexist for one prefix,
-  // e.g. dozens of copies against a /28).
-  {
-    std::map<std::uint32_t, std::uint64_t> wire_ids;
-    for (const Lie& lie : out.lies) {
-      const std::uint32_t wire_id = proto::external_ls_id(lie.prefix, lie.id);
-      const auto [it, inserted] = wire_ids.emplace(wire_id, lie.id);
-      if (!inserted) {
-        return R::failure(
-            K::kWireAliasing,
-            "lies " + std::to_string(it->second) + " and " +
-                std::to_string(lie.id) + " for " + req.prefix.to_string() +
-                " collide modulo 2^(32-len) in the appendix-E host bits (at "
-                "most " + std::to_string(proto::max_coexisting_lies(req.prefix)) +
-                " coexisting lies are wire-distinguishable)");
-      }
-    }
+  // Wire realizability: a committed set for P goes out as External-LSAs
+  // whose link state ids are P's network with k = 1..n in the host bits
+  // (appendix E; see Controller::apply_lies_). More lies than P has nonzero
+  // host values cannot all be told apart on the wire -- refuse the set
+  // (possible once a prefix has few host bits, e.g. dozens of copies
+  // against a /28).
+  if (out.lies.size() >= proto::max_coexisting_lies(req.prefix)) {
+    return R::failure(
+        K::kWireAliasing,
+        std::to_string(out.lies.size()) + " lies for " + req.prefix.to_string() +
+            " exceed its host bits: at most 2^(32-len) - 1 = " +
+            std::to_string(proto::max_coexisting_lies(req.prefix) - 1) +
+            " coexisting lies are wire-distinguishable (appendix E)");
   }
   return out;
 }

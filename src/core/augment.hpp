@@ -16,8 +16,9 @@
 namespace fibbing::core {
 
 struct AugmentConfig {
-  /// First External-LSA id to allocate (the caller keeps ids unique across
-  /// prefixes and recompilations).
+  /// Id of the first compiled lie; the rest count up from it. Ids only tell
+  /// a set's lies apart -- the controller renumbers a committed set to its
+  /// wire identities (Controller::apply_lies_).
   std::uint64_t first_lie_id = 1;
   /// Bound on verify-repair iterations (each pins polluted routers or
   /// lowers a target cost; realistic inputs converge in 1-2 rounds).
@@ -74,11 +75,11 @@ enum class CompileErrorKind {
   kWrongInterface,
   /// Verification kept failing after the repair-round budget.
   kUnrepairable,
-  /// The compiled lie set cannot be expressed on the wire: two coexisting
-  /// lies for the prefix have ids that collide modulo 2^(32-len) (appendix-E
-  /// host bits), so their External-LSAs would share one wire identity and
-  /// silently supersede each other. Remedy: a longer prefix, or lie ids
-  /// chosen apart modulo the host-bit space.
+  /// The compiled lie set cannot be expressed on the wire: a lie's
+  /// External-LSA link state id is the prefix network with the lie's slot
+  /// k = 1..n in the host bits (appendix E), so a set of n >= 2^(32-len)
+  /// lies would need two lies at one wire identity, silently superseding
+  /// each other. Remedy: a shorter prefix length (more host bits).
   kWireAliasing,
 };
 

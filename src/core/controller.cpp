@@ -11,19 +11,6 @@
 
 namespace fibbing::core {
 
-namespace {
-/// Lie-id block pre-assigned to each member of a mitigation batch: worker i
-/// compiles with first_lie_id = base + i * stride, so the ids any candidate
-/// carries are fixed before the parallel phase starts and are identical for
-/// every worker count. Far above any real compiled set's naive_lie_count
-/// (asserted at commit). Deliberately ODD: a lie's wire identity keeps only
-/// its host bits (appendix E), so a power-of-two stride would hand a
-/// re-placed prefix the exact wire identity of its previous round's lie --
-/// colliding with the not-yet-flushed MaxAge tombstone. An odd stride is
-/// never congruent to 0 modulo any host-bit space.
-constexpr std::uint64_t kLieIdStride = 4097;
-}  // namespace
-
 Controller::Controller(const topo::Topology& topo, igp::IgpDomain& domain,
                        monitor::NotificationBus& bus, util::EventQueue& events,
                        ControllerConfig config)
@@ -375,7 +362,6 @@ void Controller::mitigate_() {
     bool has_dest = false;
     std::vector<te::Demand> demands;
     std::vector<double> background;  ///< snapshot background the solve used
-    std::uint64_t base_lie_id = 0;
     PlacementOutcome outcome;
   };
   std::vector<Member> members(prefixes.size());
@@ -392,7 +378,6 @@ void Controller::mitigate_() {
         m.dest = announcers.front().node;
       }
       m.demands = demands_of_(m.prefix);
-      m.base_lie_id = next_lie_id_ + i * kLieIdStride;
       m.background.assign(topo_.link_count(), 0.0);
       for (const auto& [q, ingresses] : ledger_) {
         if (q == m.prefix ||
@@ -409,8 +394,7 @@ void Controller::mitigate_() {
     const std::function<void(std::size_t)> job = [&](std::size_t i) {
       Member& m = members[i];
       if (!m.has_dest) return;  // fails deterministically at commit
-      m.outcome =
-          place_prefix_(m.prefix, m.dest, m.demands, m.background, m.base_lie_id);
+      m.outcome = place_prefix_(m.prefix, m.dest, m.demands, m.background);
     };
     pool_.run(members.size(), job);
   }
@@ -424,15 +408,10 @@ void Controller::mitigate_() {
   // result, which always holds for the first member and for single-prefix
   // batches -- or when it keeps every link at or under the high watermark
   // on the true background. Otherwise the prefix is re-solved inline, old-
-  // pipeline style, reusing its pre-assigned lie-id block. Everything here
-  // is a pure function of controller state and the candidate slots, so the
-  // ledger, lies and counters are bit-identical for every worker count.
-  //
-  // Lie-id accounting: only *committed* sets consume ids, so next_lie_id_
-  // advances to the end of the highest block actually injected (not by a
-  // blanket batch_size * stride). For a single-member batch this is exactly
-  // the serial allocation (base + naive_lie_count + 1).
-  std::uint64_t used_max = next_lie_id_;
+  // pipeline style. Everything here is a pure function of controller state
+  // and the candidate slots (lie ids included: apply_lies_ numbers a set by
+  // its prefix alone), so the ledger, lies and counters are bit-identical
+  // for every worker count.
   for (std::size_t i = 0; i < members.size(); ++i) {
     Member& m = members[i];
     unattempted.erase(m.prefix);
@@ -480,8 +459,7 @@ void Controller::mitigate_() {
       }
     }
     if (!accept) {
-      m.outcome = place_prefix_(m.prefix, m.dest, m.demands, background,
-                                m.base_lie_id);
+      m.outcome = place_prefix_(m.prefix, m.dest, m.demands, background);
       placement_solves_ += m.outcome.solves;
     }
 
@@ -518,8 +496,6 @@ void Controller::mitigate_() {
     }
     relaxed_placements_ += m.outcome.relaxed;
     CompileResult& compiled = *m.outcome.compiled;
-    FIB_ASSERT(compiled.value().naive_lie_count + 1 <= kLieIdStride,
-               "mitigate: compiled set overflows its lie-id block");
 
     // Idempotence: skip if the new lie set steers identically to the
     // currently injected one.
@@ -542,15 +518,12 @@ void Controller::mitigate_() {
         continue;
       }
     }
-    used_max = std::max(used_max,
-                        m.base_lie_id + compiled.value().naive_lie_count + 1);
     apply_lies_(m.prefix, std::move(compiled).value().lies);
     dirty_.erase(m.prefix);
     placement_failed_.erase(m.prefix);
     attempted_ok.push_back(m.prefix);
     ++mitigations_;
   }
-  next_lie_id_ = used_max;
 
   // A member *newly* failed: the ones placed before it in this batch were
   // optimized against a background missing its (immovable) traffic. Mark
@@ -567,8 +540,7 @@ void Controller::mitigate_() {
 
 Controller::PlacementOutcome Controller::place_prefix_(
     const net::Prefix& prefix, topo::NodeId dest,
-    const std::vector<te::Demand>& demands, const std::vector<double>& background,
-    std::uint64_t first_lie_id) {
+    const std::vector<te::Demand>& demands, const std::vector<double>& background) {
   const topo::LinkStateMask& mask = domain_.link_state();
   PlacementOutcome out;
 
@@ -593,7 +565,6 @@ Controller::PlacementOutcome Controller::place_prefix_(
     const DestRequirement req =
         requirement_from_splits(prefix, sol.splits, config_.max_replicas);
     AugmentConfig aug_config;
-    aug_config.first_lie_id = first_lie_id;
     aug_config.link_state = &mask;
     aug_config.route_cache = &cache_;
     return compile_lies(topo_, req, aug_config);
@@ -688,11 +659,21 @@ void Controller::apply_lies_(const net::Prefix& prefix, std::vector<Lie> lies) {
   // All announcements leave through the controller's southbound OSPF
   // session: wire-format External-LSA LS Updates over the adjacency with
   // the session router, retractions as MaxAge tombstones (premature aging).
+  //
+  // A lie's id IS its External-LSA link state id: the k-th lie of the set
+  // for P is external_ls_id(P, k), k = 1..n (compile_lies refuses sets the
+  // host bits cannot number). Every set for P therefore reuses the same
+  // slots: a re-placement overwrites slot k in place with one LS Update
+  // that continues the slot's sequence space, and only slots past the new
+  // set's end are retracted.
+  for (std::size_t k = 0; k < lies.size(); ++k) {
+    lies[k].id = proto::external_ls_id(prefix, k + 1);
+  }
   proto::ControllerSession& session =
       domain_.controller_session(config_.session_router);
-  const auto it = active_.find(prefix);
-  if (it != active_.end()) {
+  if (const auto it = active_.find(prefix); it != active_.end()) {
     for (const Lie& old_lie : it->second) {
+      if (old_lie.id <= proto::external_ls_id(prefix, lies.size())) continue;
       // active_ only holds lies whose injection succeeded, so a refusal here
       // means the bookkeeping diverged from the session -- log it, and keep
       // going: the remaining retractions must still go out.
@@ -705,9 +686,9 @@ void Controller::apply_lies_(const net::Prefix& prefix, std::vector<Lie> lies) {
     active_.erase(it);
   }
   if (lies.empty()) return;
-  // compile_lies rejects alias-colliding sets (kWireAliasing), so a refusal
-  // here means a cross-prefix identity collision with another standing lie;
-  // the un-injectable lie is dropped rather than silently aliased.
+  // A refusal here means another prefix owns the slot's wire identity (a
+  // longer prefix sharing P's network address); the un-injectable lie is
+  // dropped rather than silently aliased.
   std::vector<Lie> injected;
   injected.reserve(lies.size());
   for (Lie& lie : lies) {

@@ -177,8 +177,7 @@ class Controller {
   [[nodiscard]] PlacementOutcome place_prefix_(const net::Prefix& prefix,
                                                topo::NodeId dest,
                                                const std::vector<te::Demand>& demands,
-                                               const std::vector<double>& background,
-                                               std::uint64_t first_lie_id);
+                                               const std::vector<double>& background);
 
   /// Per-link load of `prefix`'s ledger demand on its routes in `tables`,
   /// memoized on (tables identity, demand fingerprint). A prefix's routes
@@ -231,7 +230,6 @@ class Controller {
     std::vector<double> loads;
   };
   std::map<net::Prefix, PrefixLoadMemo> load_memo_;
-  std::uint64_t next_lie_id_ = 1;
   /// Control-loop trace recorder; null or disabled means every emission
   /// path is a single-branch no-op. pending_trace_ is the id rooted by the
   /// triggering sample, adopted (and cleared) by the next mitigate_();

@@ -17,7 +17,7 @@ namespace fibbing::core {
 /// interface on the attach<->via link and whose metric makes the route cost
 /// exactly `target_cost` at `attach`.
 struct Lie {
-  std::uint64_t id = 0;  // External-LSA key; globally unique
+  std::uint64_t id = 0;  // External-LSA key = its wire link state id
   std::string name;      // display name, e.g. "f_B_1"
   net::Prefix prefix;
   topo::NodeId attach = topo::kInvalidNode;

@@ -42,8 +42,9 @@ struct RouterLsa {
 /// address). Announces `prefix` at `ext_metric`; routers compute
 ///   cost = dist(self, subnet owning forwarding_address) + ext_metric
 /// and forward toward the forwarding address. `lie_id` distinguishes
-/// replicated lies for the same prefix (uneven splitting); `withdrawn`
-/// models an OSPF MaxAge purge.
+/// replicated lies for the same prefix (uneven splitting); the controller
+/// sets it to the lie's wire link state id. `withdrawn` models an OSPF
+/// MaxAge purge.
 struct ExternalLsa {
   std::uint64_t lie_id = 0;
   net::Prefix prefix;

@@ -93,39 +93,29 @@ proto::SessionCounters RouterProcess::counters() const {
 
 void RouterProcess::store_wire_(const LsaKey& key, proto::WireLsa wire) {
   const proto::LsaIdentity id = proto::identity_of(wire.header);
-  if (const auto it = wire_cache_.find(key); it != wire_cache_.end()) {
-    // An update may move the wire identity (it never does today -- router
-    // ids and lie ids are stable -- but keep the index honest).
-    const proto::LsaIdentity old_id = proto::identity_of(it->second.header);
-    by_identity_.erase(old_id);
-    tombstones_.erase(old_id);
-  }
-  by_identity_[id] = key;
   if (wire.header.age == proto::kMaxAge) {
     tombstones_.insert(id);
   } else {
     tombstones_.erase(id);
   }
-  wire_cache_.insert_or_assign(key, std::move(wire));
+  wire_cache_.insert_or_assign(id, StoredLsa{key, std::move(wire)});
 }
 
 void RouterProcess::maybe_flush_tombstone_(const proto::LsaIdentity& id) {
   // RFC 14: a MaxAge instance leaves the database once it is off every
   // neighbor's retransmission (and pending) list and no neighbor is mid
   // database exchange -- every adjacent replica provably saw the flush.
-  const auto key_it = by_identity_.find(id);
-  if (key_it == by_identity_.end()) return;
-  const auto wire_it = wire_cache_.find(key_it->second);
-  FIB_ASSERT(wire_it != wire_cache_.end(), "flush: identity index out of sync");
-  if (wire_it->second.header.age != proto::kMaxAge) return;
+  const auto it = wire_cache_.find(id);
+  if (it == wire_cache_.end() || it->second.wire.header.age != proto::kMaxAge) {
+    return;
+  }
   for (const auto& [peer, session] : sessions_) {
     if (session->in_exchange() || session->references(id)) return;
   }
   FIB_LOG(kDebug, "igp") << "router " << self_ << ": flushing MaxAge tombstone";
-  lsdb_.erase(key_it->second);
-  wire_cache_.erase(wire_it);
+  lsdb_.erase(it->second.key);
+  wire_cache_.erase(it);
   tombstones_.erase(id);
-  by_identity_.erase(key_it);
   ++tombstones_flushed_;
 }
 
@@ -180,16 +170,13 @@ void RouterProcess::echo_to_controller_(const proto::WireLsa& lsa) {
 std::vector<proto::LsaHeader> RouterProcess::summarize() const {
   std::vector<proto::LsaHeader> headers;
   headers.reserve(wire_cache_.size());
-  for (const auto& [key, wire] : wire_cache_) headers.push_back(wire.header);
+  for (const auto& [id, stored] : wire_cache_) headers.push_back(stored.wire.header);
   return headers;
 }
 
 const proto::WireLsa* RouterProcess::lookup(const proto::LsaIdentity& id) const {
-  const auto it = by_identity_.find(id);
-  if (it == by_identity_.end()) return nullptr;
-  const auto wire = wire_cache_.find(it->second);
-  FIB_ASSERT(wire != wire_cache_.end(), "lookup: identity index out of sync");
-  return &wire->second;
+  const auto it = wire_cache_.find(id);
+  return it == wire_cache_.end() ? nullptr : &it->second.wire;
 }
 
 proto::DatabaseFacade::DeliverResult RouterProcess::deliver(
@@ -205,9 +192,10 @@ proto::DatabaseFacade::DeliverResult RouterProcess::deliver(
       const auto& stored = std::get<proto::ExternalLsaBody>(mine->body);
       if (incoming.route_tag != stored.route_tag) {
         // Appendix-E aliasing: a *different* lie (route tag) arrived under
-        // the wire identity a stored lie owns -- their ids collide modulo
-        // 2^(32-len) of the prefix. Installing it would silently replace
-        // the stored lie in this LSDB (and, via flooding, every LSDB).
+        // the wire identity a stored lie -- live or tombstoned -- holds:
+        // their ids collide modulo 2^(32-len) of the prefix. Installing it
+        // would orphan the stored lie's LSDB entry here and replace it in
+        // every LSDB flooding reaches.
         // Refuse the instance and ack it so retransmission stops; the
         // counter surfaces the event to tests and operators.
         ++alias_collisions_;

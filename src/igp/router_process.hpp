@@ -151,9 +151,9 @@ class RouterProcess final : private proto::DatabaseFacade {
     return spf_incremental_runs_;
   }
   /// External LSAs rejected because their route tag named a different lie
-  /// than the one owning the same wire identity (appendix-E host-bit
-  /// collision) -- each one is an aliasing event that would otherwise have
-  /// silently replaced a standing lie.
+  /// than the one holding the same wire identity, live or tombstoned
+  /// (appendix-E host-bit collision) -- each one is an aliasing event that
+  /// would otherwise have silently replaced a standing lie.
   [[nodiscard]] std::uint64_t alias_collisions() const { return alias_collisions_; }
 
   /// MaxAge tombstones currently flushed from this LSDB (RFC 14): every
@@ -194,10 +194,16 @@ class RouterProcess final : private proto::DatabaseFacade {
   Lsdb lsdb_;
   RoutingTable table_;
   std::map<topo::NodeId, std::unique_ptr<proto::NeighborSession>> sessions_;
-  /// The finalized wire form of every LSDB entry: what DD summaries list,
-  /// LS Requests are answered from, and flooding re-sends byte-identical.
-  std::map<LsaKey, proto::WireLsa> wire_cache_;
-  std::map<proto::LsaIdentity, LsaKey> by_identity_;
+  /// The finalized wire form of every LSDB entry, by wire identity: what DD
+  /// summaries list, LS Requests are answered from, and flooding re-sends
+  /// byte-identical. `key` names the entry's LSDB twin; the two are 1:1
+  /// because a lie's id is its wire identity (the controller session never
+  /// moves a lie, and deliver() refuses a second lie at a held identity).
+  struct StoredLsa {
+    LsaKey key;
+    proto::WireLsa wire;
+  };
+  std::map<proto::LsaIdentity, StoredLsa> wire_cache_;
   /// Identities of stored MaxAge tombstones, awaiting their RFC 14 flush.
   std::set<proto::LsaIdentity> tombstones_;
   SendFn send_;

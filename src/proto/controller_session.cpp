@@ -30,30 +30,32 @@ void ControllerSession::send_update_(const igp::ExternalLsa& ext, igp::SeqNum se
 util::Status ControllerSession::inject(const igp::ExternalLsa& ext) {
   FIB_ASSERT(!ext.withdrawn, "ControllerSession::inject: use retract()");
   const std::uint32_t wire_id = external_ls_id(ext.prefix, ext.lie_id);
-  const auto owner = wire_id_owner_.find(wire_id);
-  if (owner != wire_id_owner_.end() && owner->second != ext.lie_id) {
-    const igp::ExternalLsa& standing = last_.at(owner->second);
-    if (!standing.withdrawn) {
-      // Same host bits, different lie: on the wire the two are one LSA and
-      // the fresher instance silently replaces the other in every LSDB.
-      // Refuse before anything is flooded.
-      ++counters_.alias_rejections;
-      return util::Status::failure(
-          "lie " + std::to_string(ext.lie_id) + " aliases live lie " +
-          std::to_string(owner->second) + " at wire identity: ids collide "
-          "modulo 2^(32-len) for " + ext.prefix.to_string() +
-          " (appendix-E host bits)");
-    }
-    // Only a tombstone stands at this identity. Taking it over is safe, but
-    // the newcomer's instances must outrank the tombstone's, so its
-    // sequence space continues where the retracted lie's stopped.
-    lie_seq_[ext.lie_id] =
-        std::max(lie_seq_[ext.lie_id], lie_seq_.at(owner->second));
+  if (const auto owner = wire_id_owner_.find(wire_id);
+      owner != wire_id_owner_.end() && owner->second != ext.lie_id) {
+    // Same host bits, different lie: on the wire the two are one LSA, and
+    // the fresher instance would silently replace the other in every LSDB
+    // that holds it -- a tombstone included. Refuse before anything floods.
+    ++counters_.alias_rejections;
+    const bool live = !last_.at(owner->second).withdrawn;
+    return util::Status::failure(
+        "lie " + std::to_string(ext.lie_id) + " aliases " +
+        (live ? "live" : "retracted") + " lie " + std::to_string(owner->second) +
+        " at wire identity: ids collide modulo 2^(32-len) for " +
+        ext.prefix.to_string() + " (appendix-E host bits)");
   }
-  wire_id_owner_[wire_id] = ext.lie_id;
-  const igp::SeqNum seq = ++lie_seq_[ext.lie_id];
+  if (const auto standing = last_.find(ext.lie_id);
+      standing != last_.end() && standing->second.prefix != ext.prefix) {
+    // The lie would move to another wire identity, leaving its old one
+    // standing in every LSDB under the same lie id.
+    ++counters_.alias_rejections;
+    return util::Status::failure("lie " + std::to_string(ext.lie_id) +
+                                 " was announced for " +
+                                 standing->second.prefix.to_string() + ", not " +
+                                 ext.prefix.to_string());
+  }
+  wire_id_owner_.emplace(wire_id, ext.lie_id);
   last_[ext.lie_id] = ext;
-  send_update_(ext, seq);
+  send_update_(ext, ++lie_seq_[ext.lie_id]);
   return {};
 }
 

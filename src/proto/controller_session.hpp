@@ -30,7 +30,8 @@ class ControllerSession {
     std::uint64_t lsas_sent = 0;
     std::uint64_t acks_received = 0;
     /// Injections refused because their wire identity (appendix-E host
-    /// bits) collided with a different live lie's.
+    /// bits) is held by a different lie, live or retracted, or because the
+    /// lie already holds another identity.
     std::uint64_t alias_rejections = 0;
     /// Tombstones re-issued because the session router echoed a live
     /// instance of a lie we had already retracted (a healed partition
@@ -43,13 +44,13 @@ class ControllerSession {
   ControllerSession(const AddressMap& addrs, SendFn send);
 
   /// Announce (or update) a lie: per-lie sequence numbers make re-injection
-  /// supersede the standing instance, exactly as in IgpDomain's previous
-  /// in-memory path. Fails (nothing hits the wire) when the lie's wire
-  /// identity -- prefix network | (lie id & host bits), appendix E -- is
-  /// already owned by a *different* live lie: coexisting they would silently
-  /// supersede each other in every LSDB. A lie whose identity matches only a
-  /// withdrawn lie's tombstone is accepted; its sequence space continues
-  /// from the tombstone's so the announcement demonstrably supersedes it.
+  /// supersede the standing instance -- its tombstone included, so a
+  /// retracted lie re-announced later continues its own sequence space. A
+  /// lie owns one wire identity -- prefix network | (lie id & host bits),
+  /// appendix E -- for good. Fails (nothing hits the wire) when that
+  /// identity is held by a *different* lie, live or retracted (the routers
+  /// refuse such an instance too: on the wire the two are one LSA), or when
+  /// the lie was announced for another prefix before.
   [[nodiscard]] util::Status inject(const igp::ExternalLsa& ext);
 
   /// Retract a previously injected lie by flooding its MaxAge tombstone
@@ -79,9 +80,9 @@ class ControllerSession {
   /// the retraction carries the same wire identity as the announcement
   /// (`withdrawn` records which of the two is standing).
   std::unordered_map<std::uint64_t, igp::ExternalLsa> last_;
-  /// Which lie id currently owns each external link state id on the wire --
-  /// the aliasing guard. Ownership survives retraction (the tombstone keeps
-  /// the identity) and transfers when a colliding lie supersedes it.
+  /// Which lie id owns each external link state id on the wire -- the
+  /// aliasing guard. Ownership is permanent: the tombstone keeps the
+  /// identity, and routers may hold it until long after the flush.
   std::unordered_map<std::uint32_t, std::uint64_t> wire_id_owner_;
   std::map<LsaIdentity, LsaHeader> unacked_;
   Counters counters_;  // obs:registered(southbound)

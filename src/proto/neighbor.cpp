@@ -440,11 +440,15 @@ void NeighborSession::process_lsr_(const LsRequestBody& lsr) {
                          entry.advertising_router};
     const WireLsa* mine = db_.lookup(id);
     if (mine == nullptr) {
-      // RFC 10.7 BadLSReq. A truthful summary makes this unreachable in the
-      // simulator; tolerate it rather than tearing the adjacency down.
-      FIB_LOG(kWarn, "proto") << self_id_ << ": LS request from " << peer_id_
-                              << " for an instance we do not hold";
-      continue;
+      // RFC 10.7 BadLSReq: the peer asks for an instance we no longer hold
+      // -- typically a MaxAge tombstone our summary listed and RFC 14 then
+      // flushed (we reached Full while the peer was still Loading). The
+      // peer's request list is stale; restart the exchange so it re-learns
+      // the database from a fresh summary instead of retrying forever.
+      FIB_LOG(kDebug, "proto") << self_id_ << ": BadLSReq from " << peer_id_
+                               << " (instance no longer held), restarting";
+      enter_exstart_();
+      return;
     }
     response.push_back(mine);
   }

@@ -29,11 +29,8 @@ std::uint16_t wire_metric(topo::Metric metric) {
 
 std::uint32_t external_ls_id(const net::Prefix& prefix, std::uint64_t lie_id) {
   // Appendix E: concurrent instances for one prefix are told apart by the
-  // host bits of the link state id. The lie id also rides in full in the
-  // route tag, so decoding is exact as long as coexisting lies for a prefix
-  // do not collide modulo 2^(32-len). Colliding lies share a wire identity
-  // and would silently supersede each other; the compiler and the
-  // controller session both check the bound before anything hits the wire.
+  // host bits of the link state id. The lie id also rides in the route tag,
+  // so decoding is exact; for controller lies the two are one number.
   const std::uint32_t host_bits = ~net::mask_for(prefix.length());
   return prefix.network().bits() |
          (static_cast<std::uint32_t>(lie_id) & host_bits);

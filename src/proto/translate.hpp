@@ -65,16 +65,17 @@ class AddressMap {
                                         const AddressMap& addrs);
 
 /// The link state id an External-LSA for (prefix, lie_id) carries on the
-/// wire: the prefix network with the lie id in the host bits (appendix E).
-/// Two lies whose ids collide modulo 2^(32-len) share a wire identity --
-/// coexisting they would silently alias (one supersedes the other in every
-/// LSDB). Exposed so the lie compiler and the controller session can check
-/// for collisions before anything is flooded.
+/// wire: the prefix network with the lie id's host bits (appendix E). The
+/// controller numbers the k-th lie of a set for P as external_ls_id(P, k),
+/// k = 1..n, so its lie ids ARE their link state ids. Ids that agree modulo
+/// 2^(32-len) share one wire identity; the controller session and every
+/// router refuse a different lie at an identity already held.
 [[nodiscard]] std::uint32_t external_ls_id(const net::Prefix& prefix,
                                            std::uint64_t lie_id);
 
-/// How many lies for `prefix` can coexist before wire identities must
-/// collide: 2^(32 - prefix length).
+/// How many host-bit values `prefix` has: 2^(32 - prefix length). Slot 0
+/// (the network address) is never a lie's, so a set for the prefix holds at
+/// most max_coexisting_lies - 1 lies.
 [[nodiscard]] std::uint64_t max_coexisting_lies(const net::Prefix& prefix);
 
 }  // namespace fibbing::proto

@@ -23,7 +23,6 @@ std::size_t MaxFlow::add_edge(std::size_t from, std::size_t to, double capacity)
   graph_[from].push_back(Edge{to, capacity, graph_[to].size(), true});
   graph_[to].push_back(Edge{from, 0.0, graph_[from].size() - 1, false});
   edge_refs_.emplace_back(from, graph_[from].size() - 1);
-  original_capacity_.push_back(capacity);
   return edge_refs_.size() - 1;
 }
 
@@ -78,8 +77,13 @@ double MaxFlow::solve(std::size_t s, std::size_t t) {
 double MaxFlow::flow_on(std::size_t edge_id) const {
   FIB_ASSERT(edge_id < edge_refs_.size(), "flow_on: bad edge id");
   const auto [node, index] = edge_refs_[edge_id];
-  // Flow = original capacity minus residual.
-  return std::max(original_capacity_[edge_id] - graph_[node][index].capacity, 0.0);
+  // The companion arc's residual IS the flow, accumulated at the flow's own
+  // magnitude. Reading it as original capacity minus forward residual would
+  // lose a small flow's low bits to the capacity's rounding (a 2e3 bps
+  // sliver on a 2e10 bps edge comes back ~4e-6 bps high), and push_on_edge
+  // would then be asked to cancel more than the edge carries.
+  const Edge& e = graph_[node][index];
+  return std::max(graph_[e.to][e.rev].capacity, 0.0);
 }
 
 double MaxFlow::residual_on(std::size_t edge_id) const {
@@ -99,7 +103,6 @@ void MaxFlow::widen(std::size_t edge_id, double extra) {
   FIB_ASSERT(extra >= 0.0, "widen: negative capacity delta");
   const auto [node, index] = edge_refs_[edge_id];
   graph_[node][index].capacity += extra;
-  original_capacity_[edge_id] += extra;
 }
 
 bool MaxFlow::push_residual(std::size_t s, std::size_t t, double amount,

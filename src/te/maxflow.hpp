@@ -65,7 +65,6 @@ class MaxFlow {
 
   std::vector<std::vector<Edge>> graph_;
   std::vector<std::pair<std::size_t, std::size_t>> edge_refs_;  // (node, index)
-  std::vector<double> original_capacity_;
   std::vector<int> level_;
   std::vector<std::size_t> iter_;
 };

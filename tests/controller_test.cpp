@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include "core/service.hpp"
+#include "igp/routes.hpp"
+#include "igp/view.hpp"
+#include "proto/translate.hpp"
 #include "support/probes.hpp"
 #include "support/scenario.hpp"
 #include "topo/generators.hpp"
@@ -195,6 +198,75 @@ TEST(Controller, DoubleSurgePlacesBothPrefixesWithoutChurn) {
   run.run_until(35.0);
   EXPECT_EQ(run.service.controller().mitigations(), placed);
   EXPECT_EQ(run.service.controller().active_lie_count(), lies);
+}
+
+/// Re-placing a prefix while its previous sets' MaxAge tombstones still
+/// stand in the routers. A /29 has eight host-bit values; a lie numbering
+/// that folds ever-growing global ids into the host bits hands the third
+/// set here the wire identity of the first set's unflushed tombstone, the
+/// routers refuse that lie (a different route tag at a held identity), and
+/// the installed rest of the set realizes a forwarding graph nobody
+/// verified. With lie ids that ARE the wire slots, a re-placement updates
+/// each reused slot in place and retracts only the slots past its end.
+TEST(Controller, ReplacementWhileTombstonesStandInstallsEveryLie) {
+  topo::PaperTopology p = topo::make_paper_topology();
+  const net::Prefix narrow(net::Ipv4(203, 0, 114, 0), 29);
+  p.topo.attach_prefix(p.c, narrow);
+  FibbingService service(p.topo, demo_config());
+  service.boot();
+  const Controller& controller = service.controller();
+  igp::IgpDomain& domain = service.domain();
+
+  // Three surges 10 ms apart -- well inside a tombstone's flush time --
+  // each needing a different set for the same prefix: one lie, then four,
+  // then two.
+  std::vector<std::size_t> set_sizes;
+  for (const topo::NodeId ingress : {p.b, p.a, p.b}) {
+    service.bus().publish({ingress, narrow, 31e6, 1});
+    service.run_until(service.events().now() + 0.01);
+    set_sizes.push_back(controller.active_lies().at(narrow).size());
+  }
+  EXPECT_EQ(controller.mitigations(), 3);
+  EXPECT_EQ(set_sizes, (std::vector<std::size_t>{1, 4, 2}));
+  const std::vector<Lie>& lies = controller.active_lies().at(narrow);
+  for (std::size_t k = 0; k < lies.size(); ++k) {
+    EXPECT_EQ(lies[k].id, proto::external_ls_id(narrow, k + 1));
+  }
+  service.run_until(service.events().now() + 5.0);
+  ASSERT_TRUE(domain.converged());
+
+  // Every router holds exactly the active set live; slots 3 and 4 are
+  // withdrawn (or already flushed).
+  std::uint64_t collisions = 0;
+  for (topo::NodeId n = 0; n < p.topo.node_count(); ++n) {
+    collisions += domain.router(n).alias_collisions();
+    const igp::Lsdb& lsdb = domain.router(n).lsdb();
+    for (const Lie& lie : lies) {
+      const igp::Lsa* lsa = lsdb.find({igp::LsaType::kExternal, lie.id});
+      ASSERT_NE(lsa, nullptr) << "router " << n << " lie " << lie.id;
+      const auto& ext = std::get<igp::ExternalLsa>(lsa->body);
+      EXPECT_FALSE(ext.withdrawn);
+      EXPECT_EQ(ext.forwarding_address, lie.forwarding_address);
+      EXPECT_EQ(ext.ext_metric, lie.ext_metric);
+    }
+    for (const std::uint64_t slot : {3, 4}) {
+      const igp::Lsa* lsa =
+          lsdb.find({igp::LsaType::kExternal, proto::external_ls_id(narrow, slot)});
+      EXPECT_TRUE(lsa == nullptr || std::get<igp::ExternalLsa>(lsa->body).withdrawn);
+    }
+  }
+  EXPECT_EQ(collisions, 0u);
+  EXPECT_EQ(service.controller().southbound_counters().alias_rejections, 0u);
+
+  std::vector<Lie> all;
+  for (const auto& [prefix, set] : controller.active_lies()) {
+    all.insert(all.end(), set.begin(), set.end());
+  }
+  const auto fresh = igp::compute_all_routes(
+      igp::NetworkView::from_topology(p.topo, to_externals(all), &service.link_state()));
+  for (topo::NodeId n = 0; n < p.topo.node_count(); ++n) {
+    EXPECT_EQ(domain.table(n), fresh[n]) << "router " << n;
+  }
 }
 
 }  // namespace

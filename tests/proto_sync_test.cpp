@@ -7,13 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "igp/domain.hpp"
 #include "igp/lsa.hpp"
 #include "igp/spf.hpp"
 #include "igp/view.hpp"
+#include "proto/codec.hpp"
 #include "proto/neighbor.hpp"
+#include "support/fake_db.hpp"
 #include "topo/generators.hpp"
 #include "util/event_queue.hpp"
 #include "util/rng.hpp"
@@ -221,6 +224,71 @@ TEST(ProtoSync, PartitionHealReconvergesBitIdenticalAndRequestsOnlyTheDelta) {
   for (NodeId n = 0; n < t.node_count(); ++n) {
     ASSERT_EQ(domain.table(n), pristine.table(n)) << "router " << n;
   }
+}
+
+TEST(ProtoSync, TombstoneFlushedBeforeItsLsRequestRestartsTheExchange) {
+  // a's DD summary lists a MaxAge tombstone b lacks; a then flushes it (RFC
+  // 14 lets it once a is Full, even while b is still Loading) before b's LS
+  // Request arrives. RFC 10.7 BadLSReq: a restarts the exchange, b re-learns
+  // the database from a fresh summary and reaches Full. Ignoring the request
+  // left b Loading, re-requesting the tombstone every RxmtInterval forever.
+  const topo::PaperTopology p = topo::make_paper_topology();
+  const proto::AddressMap addrs(p.topo);
+  ExternalLsa withdrawn;
+  withdrawn.lie_id = proto::external_ls_id(p.p1, 1);
+  withdrawn.prefix = p.p1;
+  withdrawn.ext_metric = 2;
+  withdrawn.forwarding_address = fa_toward(p.topo, p.b, p.r2);
+  withdrawn.withdrawn = true;
+  const proto::WireLsa tombstone = proto::to_wire(make_external_lsa(withdrawn, 2), addrs);
+  ExternalLsa live = withdrawn;
+  live.lie_id = proto::external_ls_id(p.p1, 2);
+  live.withdrawn = false;
+  const proto::WireLsa lie = proto::to_wire(make_external_lsa(live, 1), addrs);
+  const proto::LsaIdentity tomb_id = proto::identity_of(tombstone.header);
+
+  util::EventQueue events;
+  support::FakeDb db_a;
+  support::FakeDb db_b;
+  db_a.seed(tombstone);
+  db_a.seed(lie);
+  std::unique_ptr<proto::NeighborSession> a;
+  std::unique_ptr<proto::NeighborSession> b;
+  int tombstone_requests = 0;
+  const auto deliver_to = [&](std::unique_ptr<proto::NeighborSession>& to) {
+    return [&events, &to](const proto::BufferPtr& buffer) {
+      events.schedule_in(0.001, [&to, buffer] {
+        const proto::Decoded<proto::Packet> packet = proto::decode_packet(*buffer);
+        ASSERT_TRUE(packet.ok());
+        to->receive(packet.value());
+      });
+    };
+  };
+  a = std::make_unique<proto::NeighborSession>(1, 2, db_a, events, proto::SessionConfig{},
+                                               deliver_to(b));
+  b = std::make_unique<proto::NeighborSession>(
+      2, 1, db_b, events, proto::SessionConfig{},
+      [&, to_a = deliver_to(a)](const proto::BufferPtr& buffer) {
+        const proto::Decoded<proto::Packet> packet = proto::decode_packet(*buffer);
+        ASSERT_TRUE(packet.ok());
+        if (const auto* lsr = std::get_if<proto::LsRequestBody>(&packet.value().body)) {
+          for (const proto::LsRequestEntry& entry : lsr->entries) {
+            if (entry.link_state_id == tomb_id.link_state_id) ++tombstone_requests;
+          }
+          db_a.store.erase(tomb_id);  // the flush lands while the request flies
+        }
+        to_a(buffer);
+      });
+  a->start();
+  b->start();
+  events.run_until(30.0);
+
+  EXPECT_EQ(tombstone_requests, 1);
+  EXPECT_TRUE(a->synchronized());
+  EXPECT_TRUE(b->synchronized());
+  EXPECT_EQ(db_b.store.size(), 1u);
+  EXPECT_EQ(db_b.lookup(tomb_id), nullptr);
+  EXPECT_NE(db_b.lookup(proto::identity_of(lie.header)), nullptr);
 }
 
 }  // namespace

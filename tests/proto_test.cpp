@@ -10,6 +10,7 @@
 #include "proto/controller_session.hpp"
 #include "proto/neighbor.hpp"
 #include "proto/translate.hpp"
+#include "support/fake_db.hpp"
 #include "topo/generators.hpp"
 #include "util/event_queue.hpp"
 #include "util/rng.hpp"
@@ -332,37 +333,7 @@ TEST(CodecFuzz, RandomGarbageNeverCrashes) {
 
 // --------------------------------------------------------------- session FSM
 
-/// In-memory store implementing the session's database contract.
-class FakeDb final : public DatabaseFacade {
- public:
-  std::map<LsaIdentity, WireLsa> store;
-
-  void seed(const WireLsa& lsa) { store[identity_of(lsa.header)] = lsa; }
-
-  [[nodiscard]] std::vector<LsaHeader> summarize() const override {
-    std::vector<LsaHeader> out;
-    for (const auto& [id, lsa] : store) out.push_back(lsa.header);
-    return out;
-  }
-  [[nodiscard]] const WireLsa* lookup(const LsaIdentity& id) const override {
-    const auto it = store.find(id);
-    return it == store.end() ? nullptr : &it->second;
-  }
-  DeliverResult deliver(const WireLsa& lsa, std::uint32_t) override {
-    const LsaIdentity id = identity_of(lsa.header);
-    const auto it = store.find(id);
-    if (it == store.end()) {
-      store.emplace(id, lsa);
-      return DeliverResult::kNewer;
-    }
-    const int order = compare_instances(lsa.header, it->second.header);
-    if (order > 0) {
-      it->second = lsa;
-      return DeliverResult::kNewer;
-    }
-    return order == 0 ? DeliverResult::kDuplicate : DeliverResult::kStale;
-  }
-};
+using support::FakeDb;
 
 /// Two sessions joined by a lossy-on-demand channel over one event queue.
 struct SessionPair {
@@ -698,7 +669,7 @@ TEST(ControllerSession, RefusesLieAliasingALiveOne) {
   EXPECT_TRUE(session.inject(ok).ok());
 }
 
-TEST(ControllerSession, LieTakingOverATombstoneContinuesItsSequenceSpace) {
+TEST(ControllerSession, RefusesADifferentLieAtATombstonedIdentity) {
   const topo::PaperTopology p = topo::make_paper_topology();
   const AddressMap addrs(p.topo);
   std::vector<BufferPtr> outbox;
@@ -711,22 +682,71 @@ TEST(ControllerSession, LieTakingOverATombstoneContinuesItsSequenceSpace) {
   first.prefix = narrow;
   first.ext_metric = 1;
   first.forwarding_address = net::Ipv4(10, 0, 0, 2);
-  ASSERT_TRUE(session.inject(first).ok());  // wire seq = Initial
-  ASSERT_TRUE(session.retract(1).ok());     // tombstone, wire seq = Initial+1
+  ASSERT_TRUE(session.inject(first).ok());
+  ASSERT_TRUE(session.retract(1).ok());
 
-  // Lie 5 shares lie 1's wire identity. With only the tombstone standing it
-  // is accepted -- but a fresh per-lie sequence (Initial) would lose to the
-  // tombstone (Initial+1) in every LSDB. The session continues the
-  // tombstone's sequence space instead, so the announcement supersedes it.
+  // Lie 5 shares lie 1's wire identity, where only lie 1's tombstone stands.
+  // Routers may still hold that tombstone and would refuse lie 5 under it
+  // (a different route tag at a held identity), so the session refuses it
+  // first: nothing hits the wire.
   igp::ExternalLsa successor = first;
   successor.lie_id = 5;
-  ASSERT_TRUE(session.inject(successor).ok());
-  ASSERT_EQ(outbox.size(), 3u);
-  const Decoded<Packet> decoded = decode_packet(*outbox.back());
-  ASSERT_TRUE(decoded.ok());
-  const auto& wire = std::get<LsUpdateBody>(decoded.value().body).lsas[0];
-  EXPECT_EQ(wire.header.seq, kInitialSequence + 2);
-  EXPECT_EQ(std::get<ExternalLsaBody>(wire.body).route_tag, 5u);
+  const util::Status refused = session.inject(successor);
+  EXPECT_FALSE(refused.ok());
+  EXPECT_NE(refused.error().find("aliases retracted lie 1"), std::string::npos);
+  EXPECT_EQ(session.counters().alias_rejections, 1u);
+  EXPECT_EQ(outbox.size(), 2u);
+
+  // A lie keeps its one identity: re-announcing lie 1 for another prefix
+  // would leave its old identity standing in every LSDB. Refused as well.
+  igp::ExternalLsa moved = first;
+  moved.prefix = net::Prefix(net::Ipv4(203, 0, 114, 0), 30);
+  EXPECT_FALSE(session.inject(moved).ok());
+  EXPECT_EQ(session.counters().alias_rejections, 2u);
+  EXPECT_EQ(outbox.size(), 2u);
+}
+
+TEST(ControllerSession, ReannouncingAReusedSlotContinuesItsSequenceSpace) {
+  const topo::PaperTopology p = topo::make_paper_topology();
+  const AddressMap addrs(p.topo);
+  std::vector<BufferPtr> outbox;
+  ControllerSession session(addrs,
+                            [&](const BufferPtr& buffer) { outbox.push_back(buffer); });
+  const auto last_sent = [&] {
+    const Decoded<Packet> decoded = decode_packet(*outbox.back());
+    EXPECT_TRUE(decoded.ok());
+    return std::get<LsUpdateBody>(decoded.value().body).lsas.at(0);
+  };
+
+  // Slot 1 of p1: the lie id is its link state id.
+  igp::ExternalLsa slot;
+  slot.lie_id = external_ls_id(p.p1, 1);
+  slot.prefix = p.p1;
+  slot.ext_metric = 1;
+  slot.forwarding_address = net::Ipv4(10, 0, 0, 2);
+  ASSERT_TRUE(session.inject(slot).ok());
+  EXPECT_EQ(last_sent().header.link_state_id, slot.lie_id);
+  EXPECT_EQ(std::get<ExternalLsaBody>(last_sent().body).route_tag, slot.lie_id);
+  EXPECT_EQ(last_sent().header.seq, kInitialSequence);
+
+  // A re-placement overwrites the slot in place: one LS Update, next
+  // sequence, same identity.
+  igp::ExternalLsa replaced = slot;
+  replaced.ext_metric = 4;
+  ASSERT_TRUE(session.inject(replaced).ok());
+  EXPECT_EQ(outbox.size(), 2u);
+  EXPECT_EQ(last_sent().header.seq, kInitialSequence + 1);
+  EXPECT_EQ(last_sent().header.age, 0);
+
+  // Retracted, then announced again by a later set: the announcement
+  // continues past the tombstone, so it supersedes it in every LSDB.
+  ASSERT_TRUE(session.retract(slot.lie_id).ok());
+  EXPECT_EQ(last_sent().header.seq, kInitialSequence + 2);
+  EXPECT_EQ(last_sent().header.age, kMaxAge);
+  ASSERT_TRUE(session.inject(slot).ok());
+  EXPECT_EQ(last_sent().header.seq, kInitialSequence + 3);
+  EXPECT_EQ(last_sent().header.age, 0);
+  EXPECT_EQ(identity_of(last_sent().header).link_state_id, slot.lie_id);
   EXPECT_EQ(session.counters().alias_rejections, 0u);
 }
 
