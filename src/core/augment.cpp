@@ -5,8 +5,8 @@
 #include <optional>
 
 #include "core/verify.hpp"
+#include "igp/lsa.hpp"
 #include "igp/spf.hpp"
-#include "proto/translate.hpp"
 #include "util/logging.hpp"
 
 namespace fibbing::core {
@@ -277,12 +277,12 @@ CompileResult compile_lies(const topo::Topology& topo,
   // host values cannot all be told apart on the wire -- refuse the set
   // (possible once a prefix has few host bits, e.g. dozens of copies
   // against a /28).
-  if (out.lies.size() >= proto::max_coexisting_lies(req.prefix)) {
+  if (out.lies.size() >= igp::max_coexisting_lies(req.prefix)) {
     return R::failure(
         K::kWireAliasing,
         std::to_string(out.lies.size()) + " lies for " + req.prefix.to_string() +
             " exceed its host bits: at most 2^(32-len) - 1 = " +
-            std::to_string(proto::max_coexisting_lies(req.prefix) - 1) +
+            std::to_string(igp::max_coexisting_lies(req.prefix) - 1) +
             " coexisting lies are wire-distinguishable (appendix E)");
   }
   return out;

@@ -667,13 +667,13 @@ void Controller::apply_lies_(const net::Prefix& prefix, std::vector<Lie> lies) {
   // that continues the slot's sequence space, and only slots past the new
   // set's end are retracted.
   for (std::size_t k = 0; k < lies.size(); ++k) {
-    lies[k].id = proto::external_ls_id(prefix, k + 1);
+    lies[k].id = igp::external_ls_id(prefix, k + 1);
   }
   proto::ControllerSession& session =
       domain_.controller_session(config_.session_router);
   if (const auto it = active_.find(prefix); it != active_.end()) {
     for (const Lie& old_lie : it->second) {
-      if (old_lie.id <= proto::external_ls_id(prefix, lies.size())) continue;
+      if (old_lie.id <= igp::external_ls_id(prefix, lies.size())) continue;
       // active_ only holds lies whose injection succeeded, so a refusal here
       // means the bookkeeping diverged from the session -- log it, and keep
       // going: the remaining retractions must still go out.

@@ -19,8 +19,22 @@ Lsa make_router_lsa(const topo::Topology& topo, topo::NodeId node, SeqNum seq,
   return Lsa{LsaKey{LsaType::kRouter, node}, seq, std::move(body)};
 }
 
+std::uint32_t external_ls_id(const net::Prefix& prefix, std::uint64_t lie_id) {
+  // Appendix E: concurrent instances for one prefix are told apart by the
+  // host bits of the link state id. The lie id also rides in the route tag,
+  // so decoding is exact; for controller lies the two are one number.
+  const std::uint32_t host_bits = ~net::mask_for(prefix.length());
+  return prefix.network().bits() |
+         (static_cast<std::uint32_t>(lie_id) & host_bits);
+}
+
+std::uint64_t max_coexisting_lies(const net::Prefix& prefix) {
+  return 1ull << (32 - prefix.length());
+}
+
 Lsa make_external_lsa(const ExternalLsa& ext, SeqNum seq) {
-  return Lsa{LsaKey{LsaType::kExternal, ext.lie_id}, seq, ext};
+  return Lsa{LsaKey{LsaType::kExternal, external_ls_id(ext.prefix, ext.lie_id)}, seq,
+             ext};
 }
 
 std::string to_string(const Lsa& lsa) {

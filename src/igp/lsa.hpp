@@ -9,6 +9,7 @@
 
 #include "net/ipv4.hpp"
 #include "net/prefix.hpp"
+#include "proto/codec.hpp"
 #include "topo/topology.hpp"
 
 namespace fibbing::igp {
@@ -57,8 +58,11 @@ using LsaBody = std::variant<RouterLsa, ExternalLsa>;
 
 enum class LsaType : std::uint8_t { kRouter = 1, kExternal = 5 };
 
-/// Identity of an LSA instance in the LSDB; (type, key) where key is the
-/// originating router for Router-LSAs and the lie id for External-LSAs.
+/// Identity of an LSA in the LSDB: its wire identity (RFC 2328 12.1) in the
+/// simulator's terms. `key` is the originating node for Router-LSAs and the
+/// link state id for External-LSAs, whose advertising router is always the
+/// controller (proto::lsa_key is the mapping). For a controller lie the
+/// link state id IS the lie id.
 struct LsaKey {
   LsaType type = LsaType::kRouter;
   std::uint64_t key = 0;
@@ -66,23 +70,44 @@ struct LsaKey {
   friend auto operator<=>(const LsaKey&, const LsaKey&) = default;
 };
 
+/// One LSA instance: the semantic view SPF reads, plus `wire`, the
+/// finalized RFC 2328 form it arrived or was originated as -- what DD
+/// summaries list, LS Requests are answered from and floods re-send. A
+/// router's LSDB entry is exactly one of these; `wire` stays empty on
+/// instances built outside a router (make_*_lsa, tests).
 struct Lsa {
   LsaKey id;
   SeqNum seq = 1;
   LsaBody body;
+  proto::WireLsa wire{};
 };
 
-/// Shared-ownership handle to an immutable LSA instance. Flooding an LSA
-/// across the domain touches O(links) hops; with a shared pool every hop
-/// (and every LSDB replica holding the instance) shares one allocation
-/// instead of deep-copying the variant body per hop.
+/// Shared-ownership handle to an immutable LSA instance. Each router
+/// decodes its own copy of a flooded instance; the handle lets readers of
+/// a database (Lsdb::all, a rebuilt database) share its entries without
+/// deep-copying them.
 using LsaPtr = std::shared_ptr<const Lsa>;
+
+/// The link state id an External-LSA for (prefix, lie_id) carries on the
+/// wire: the prefix network with the lie id's host bits (appendix E). The
+/// controller numbers the k-th lie of a set for P as external_ls_id(P, k),
+/// k = 1..n, so its lie ids ARE their link state ids. Ids that agree modulo
+/// 2^(32-len) share one wire identity; the controller session and every
+/// router refuse a different lie at an identity already held.
+[[nodiscard]] std::uint32_t external_ls_id(const net::Prefix& prefix,
+                                           std::uint64_t lie_id);
+
+/// How many host-bit values `prefix` has: 2^(32 - prefix length). Slot 0
+/// (the network address) is never a lie's, so a set for the prefix holds at
+/// most max_coexisting_lies - 1 lies.
+[[nodiscard]] std::uint64_t max_coexisting_lies(const net::Prefix& prefix);
 
 /// Build `node`'s Router-LSA from the topology. Links whose id is marked in
 /// `down_links` (when non-empty) are omitted, as after an interface failure.
 [[nodiscard]] Lsa make_router_lsa(const topo::Topology& topo, topo::NodeId node,
                                   SeqNum seq = 1,
                                   const std::vector<bool>& down_links = {});
+/// Keyed by external_ls_id(ext.prefix, ext.lie_id).
 [[nodiscard]] Lsa make_external_lsa(const ExternalLsa& ext, SeqNum seq = 1);
 
 [[nodiscard]] std::string to_string(const Lsa& lsa);

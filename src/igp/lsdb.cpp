@@ -21,10 +21,6 @@ Lsdb::InstallResult Lsdb::install(LsaPtr lsa) {
   return InstallResult::kStale;
 }
 
-Lsdb::InstallResult Lsdb::install(const Lsa& lsa) {
-  return install(std::make_shared<const Lsa>(lsa));
-}
-
 bool Lsdb::erase(const LsaKey& key) { return entries_.erase(key) > 0; }
 
 const Lsa* Lsdb::find(const LsaKey& key) const {

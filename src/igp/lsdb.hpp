@@ -7,11 +7,12 @@
 
 namespace fibbing::igp {
 
-/// Link-state database: the per-router replica of all flooded LSAs.
-/// Sequence numbers decide freshness, exactly as in OSPF: an instance
-/// replaces a stored one iff its seq is strictly newer. Instances are held
-/// through the shared LSA pool (LsaPtr), so the N replicas of one flooded
-/// instance across the domain share a single allocation.
+/// Link-state database: a router's one store of every flooded LSA, one
+/// entry per wire identity (LsaKey), each entry one instance -- its wire
+/// form and the view decoded from it at install (see Lsa). Sequence numbers
+/// decide freshness, exactly as in OSPF: an instance replaces a stored one
+/// iff its seq is strictly newer. Entries are shared handles (LsaPtr), so
+/// readers and rebuilt databases reuse them without copying.
 class Lsdb {
  public:
   enum class InstallResult { kNewer, kDuplicate, kStale };
@@ -19,9 +20,6 @@ class Lsdb {
   /// Install an LSA instance. kNewer means the database changed (and the
   /// caller should re-flood and schedule SPF).
   InstallResult install(LsaPtr lsa);
-  /// Convenience for callers holding a plain value (tests, one-off
-  /// construction): wraps into the pool once.
-  InstallResult install(const Lsa& lsa);
 
   [[nodiscard]] const Lsa* find(const LsaKey& key) const;
   [[nodiscard]] std::size_t size() const { return entries_.size(); }

@@ -91,30 +91,25 @@ proto::SessionCounters RouterProcess::counters() const {
   return total;
 }
 
-void RouterProcess::store_wire_(const LsaKey& key, proto::WireLsa wire) {
-  const proto::LsaIdentity id = proto::identity_of(wire.header);
-  if (wire.header.age == proto::kMaxAge) {
-    tombstones_.insert(id);
+void RouterProcess::index_tombstone_(const proto::LsaHeader& header) {
+  if (header.age == proto::kMaxAge) {
+    tombstones_.insert(proto::identity_of(header));
   } else {
-    tombstones_.erase(id);
+    tombstones_.erase(proto::identity_of(header));
   }
-  wire_cache_.insert_or_assign(id, StoredLsa{key, std::move(wire)});
 }
 
 void RouterProcess::maybe_flush_tombstone_(const proto::LsaIdentity& id) {
   // RFC 14: a MaxAge instance leaves the database once it is off every
   // neighbor's retransmission (and pending) list and no neighbor is mid
   // database exchange -- every adjacent replica provably saw the flush.
-  const auto it = wire_cache_.find(id);
-  if (it == wire_cache_.end() || it->second.wire.header.age != proto::kMaxAge) {
-    return;
-  }
+  const proto::WireLsa* stored = lookup(id);
+  if (stored == nullptr || stored->header.age != proto::kMaxAge) return;
   for (const auto& [peer, session] : sessions_) {
     if (session->in_exchange() || session->references(id)) return;
   }
   FIB_LOG(kDebug, "igp") << "router " << self_ << ": flushing MaxAge tombstone";
-  lsdb_.erase(it->second.key);
-  wire_cache_.erase(it);
+  lsdb_.erase(*proto::lsa_key(id, *addrs_));
   tombstones_.erase(id);
   ++tombstones_flushed_;
 }
@@ -131,11 +126,11 @@ void RouterProcess::on_flood_acked(const proto::LsaIdentity& id) {
 }
 
 void RouterProcess::originate(Lsa lsa) {
-  proto::WireLsa wire = proto::to_wire(lsa, *addrs_);
-  const LsaKey key = lsa.id;
-  const auto result = lsdb_.install(std::make_shared<const Lsa>(std::move(lsa)));
-  if (result != Lsdb::InstallResult::kNewer) return;
-  store_wire_(key, wire);
+  lsa.wire = proto::to_wire(lsa, *addrs_);
+  const LsaPtr stored = std::make_shared<const Lsa>(std::move(lsa));
+  if (lsdb_.install(stored) != Lsdb::InstallResult::kNewer) return;
+  const proto::WireLsa& wire = stored->wire;
+  index_tombstone_(wire.header);
   flood_(wire, /*except_router_id=*/addrs_->router_id(self_));
   schedule_spf_();
   if (wire.header.age == proto::kMaxAge) {
@@ -168,15 +163,19 @@ void RouterProcess::echo_to_controller_(const proto::WireLsa& lsa) {
 }
 
 std::vector<proto::LsaHeader> RouterProcess::summarize() const {
+  // Key order is wire-identity order: router ids ascend with node ids, and
+  // both type enums put Router before External.
+  const std::vector<LsaPtr> all = lsdb_.all();
   std::vector<proto::LsaHeader> headers;
-  headers.reserve(wire_cache_.size());
-  for (const auto& [id, stored] : wire_cache_) headers.push_back(stored.wire.header);
+  headers.reserve(all.size());
+  for (const LsaPtr& lsa : all) headers.push_back(lsa->wire.header);
   return headers;
 }
 
 const proto::WireLsa* RouterProcess::lookup(const proto::LsaIdentity& id) const {
-  const auto it = wire_cache_.find(id);
-  return it == wire_cache_.end() ? nullptr : &it->second.wire;
+  const std::optional<LsaKey> key = proto::lsa_key(id, *addrs_);
+  const Lsa* lsa = key ? lsdb_.find(*key) : nullptr;
+  return lsa == nullptr ? nullptr : &lsa->wire;
 }
 
 proto::DatabaseFacade::DeliverResult RouterProcess::deliver(
@@ -194,8 +193,8 @@ proto::DatabaseFacade::DeliverResult RouterProcess::deliver(
         // Appendix-E aliasing: a *different* lie (route tag) arrived under
         // the wire identity a stored lie -- live or tombstoned -- holds:
         // their ids collide modulo 2^(32-len) of the prefix. Installing it
-        // would orphan the stored lie's LSDB entry here and replace it in
-        // every LSDB flooding reaches.
+        // would replace the stored lie here and in every LSDB flooding
+        // reaches.
         // Refuse the instance and ack it so retransmission stops; the
         // counter surfaces the event to tests and operators.
         ++alias_collisions_;
@@ -235,27 +234,26 @@ proto::DatabaseFacade::DeliverResult RouterProcess::deliver(
                           << translated.error().detail << ")";
     return DeliverResult::kDuplicate;
   }
-  const LsaKey key = translated.value().id;
   const auto result =
       lsdb_.install(std::make_shared<const Lsa>(std::move(translated).value()));
   switch (result) {
     case Lsdb::InstallResult::kNewer:
-      store_wire_(key, lsa);
+      index_tombstone_(lsa.header);
       flood_(lsa, from_router_id);
       schedule_spf_();
       if (tracer_ != nullptr && tracer_->enabled() &&
           lsa.header.type == proto::WireLsaType::kExternal &&
           lsa.header.advertising_router == proto::kControllerRouterId &&
           lsa.header.age != proto::kMaxAge) {
-        // A live lie landed in this replica (key.key IS the lie id for
-        // externals). Stamp its trace's LSA-install stage and remember it
-        // for the SPF run the schedule above just armed.
-        if (const std::uint64_t trace = tracer_->trace_for_lie(key.key);
-            trace != 0) {
+        // A live lie landed in this replica (the route tag carries its lie
+        // id). Stamp its trace's LSA-install stage and remember it for the
+        // SPF run the schedule above just armed.
+        const std::uint64_t lie = std::get<proto::ExternalLsaBody>(lsa.body).route_tag;
+        if (const std::uint64_t trace = tracer_->trace_for_lie(lie); trace != 0) {
           tracer_->emit_lane(trace_lane_, events_.now(), trace,
                              obs::Stage::kLsaInstall,
-                             static_cast<std::uint32_t>(self_), key.key);
-          pending_trace_lies_.insert(key.key);
+                             static_cast<std::uint32_t>(self_), lie);
+          pending_trace_lies_.insert(lie);
         }
       }
       if (controller_peer_ && controller_send_ != nullptr &&

@@ -172,7 +172,8 @@ class RouterProcess final : private proto::DatabaseFacade {
   void on_flood_acked(const proto::LsaIdentity& id) override;
 
   void flood_(const proto::WireLsa& lsa, std::uint32_t except_router_id);
-  void store_wire_(const LsaKey& key, proto::WireLsa wire);
+  /// Keep tombstones_ in step with a newly installed instance.
+  void index_tombstone_(const proto::LsaHeader& header);
   void on_session_event_(topo::NodeId peer, proto::SessionEvent event);
   /// RFC 14 flush check for one MaxAge tombstone: erase it once no session
   /// is mid database exchange and none still references the instance.
@@ -191,19 +192,11 @@ class RouterProcess final : private proto::DatabaseFacade {
   const proto::AddressMap* addrs_;
   util::Scheduler& events_;
   IgpTiming timing_;
+  /// The one LSA store: SPF reads its decoded views; DD summaries, LS
+  /// Requests and floods read its wire forms through proto::lsa_key.
   Lsdb lsdb_;
   RoutingTable table_;
   std::map<topo::NodeId, std::unique_ptr<proto::NeighborSession>> sessions_;
-  /// The finalized wire form of every LSDB entry, by wire identity: what DD
-  /// summaries list, LS Requests are answered from, and flooding re-sends
-  /// byte-identical. `key` names the entry's LSDB twin; the two are 1:1
-  /// because a lie's id is its wire identity (the controller session never
-  /// moves a lie, and deliver() refuses a second lie at a held identity).
-  struct StoredLsa {
-    LsaKey key;
-    proto::WireLsa wire;
-  };
-  std::map<proto::LsaIdentity, StoredLsa> wire_cache_;
   /// Identities of stored MaxAge tombstones, awaiting their RFC 14 flush.
   std::set<proto::LsaIdentity> tombstones_;
   SendFn send_;

@@ -29,7 +29,7 @@ void ControllerSession::send_update_(const igp::ExternalLsa& ext, igp::SeqNum se
 
 util::Status ControllerSession::inject(const igp::ExternalLsa& ext) {
   FIB_ASSERT(!ext.withdrawn, "ControllerSession::inject: use retract()");
-  const std::uint32_t wire_id = external_ls_id(ext.prefix, ext.lie_id);
+  const std::uint32_t wire_id = igp::external_ls_id(ext.prefix, ext.lie_id);
   if (const auto owner = wire_id_owner_.find(wire_id);
       owner != wire_id_owner_.end() && owner->second != ext.lie_id) {
     // Same host bits, different lie: on the wire the two are one LSA, and

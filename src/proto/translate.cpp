@@ -27,19 +27,6 @@ std::uint16_t wire_metric(topo::Metric metric) {
 
 }  // namespace
 
-std::uint32_t external_ls_id(const net::Prefix& prefix, std::uint64_t lie_id) {
-  // Appendix E: concurrent instances for one prefix are told apart by the
-  // host bits of the link state id. The lie id also rides in the route tag,
-  // so decoding is exact; for controller lies the two are one number.
-  const std::uint32_t host_bits = ~net::mask_for(prefix.length());
-  return prefix.network().bits() |
-         (static_cast<std::uint32_t>(lie_id) & host_bits);
-}
-
-std::uint64_t max_coexisting_lies(const net::Prefix& prefix) {
-  return 1ull << (32 - prefix.length());
-}
-
 AddressMap::AddressMap(const topo::Topology& topo) {
   id_of_.reserve(topo.node_count());
   for (topo::NodeId n = 0; n < topo.node_count(); ++n) {
@@ -106,12 +93,13 @@ WireLsa to_wire(const igp::Lsa& lsa, const AddressMap& addrs) {
     wire.body = std::move(body);
   } else {
     const auto& ext = std::get<igp::ExternalLsa>(lsa.body);
-    FIB_ASSERT(lsa.id.type == igp::LsaType::kExternal && lsa.id.key == ext.lie_id,
-               "to_wire: external LSA key mismatch");
     FIB_ASSERT(ext.lie_id <= 0xffffffffull, "to_wire: lie id exceeds 32 bits");
+    FIB_ASSERT(lsa.id.type == igp::LsaType::kExternal &&
+                   lsa.id.key == igp::external_ls_id(ext.prefix, ext.lie_id),
+               "to_wire: external LSA key mismatch");
     FIB_ASSERT(ext.ext_metric <= 0xffffff, "to_wire: external metric exceeds 24 bits");
     wire.header.type = WireLsaType::kExternal;
-    wire.header.link_state_id = external_ls_id(ext.prefix, ext.lie_id);
+    wire.header.link_state_id = static_cast<std::uint32_t>(lsa.id.key);
     wire.header.advertising_router = kControllerRouterId;
     wire.header.age = ext.withdrawn ? kMaxAge : 0;
     wire.body = ExternalLsaBody{net::mask_for(ext.prefix.length()),
@@ -189,24 +177,25 @@ Decoded<igp::Lsa> from_wire(const WireLsa& wire, const AddressMap& addrs) {
     body.ext_metric = ext.metric;
     body.forwarding_address = net::Ipv4(ext.forwarding_address);
     body.withdrawn = wire.header.age == kMaxAge;
-    if (wire.header.link_state_id != external_ls_id(body.prefix, body.lie_id)) {
+    if (wire.header.link_state_id != igp::external_ls_id(body.prefix, body.lie_id)) {
       return bad(DecodeErrorKind::kBadValue,
                  "external LSA host bits disagree with route tag");
     }
-    lsa.id = igp::LsaKey{igp::LsaType::kExternal, body.lie_id};
+    lsa.id = igp::LsaKey{igp::LsaType::kExternal, wire.header.link_state_id};
     lsa.body = body;
   }
+  lsa.wire = wire;
   return lsa;
 }
 
-LsaIdentity wire_identity(const igp::Lsa& lsa, const AddressMap& addrs) {
-  if (const auto* router = std::get_if<igp::RouterLsa>(&lsa.body)) {
-    const std::uint32_t rid = addrs.router_id(router->origin);
-    return LsaIdentity{WireLsaType::kRouter, rid, rid};
+std::optional<igp::LsaKey> lsa_key(const LsaIdentity& id, const AddressMap& addrs) {
+  if (id.type == WireLsaType::kRouter) {
+    const auto node = addrs.node_of(id.advertising_router);
+    if (id.link_state_id != id.advertising_router || !node) return std::nullopt;
+    return igp::LsaKey{igp::LsaType::kRouter, *node};
   }
-  const auto& ext = std::get<igp::ExternalLsa>(lsa.body);
-  return LsaIdentity{WireLsaType::kExternal, external_ls_id(ext.prefix, ext.lie_id),
-                     kControllerRouterId};
+  if (id.advertising_router != kControllerRouterId) return std::nullopt;
+  return igp::LsaKey{igp::LsaType::kExternal, id.link_state_id};
 }
 
 }  // namespace fibbing::proto

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "igp/lsa.hpp"
-#include "net/prefix.hpp"
 #include "proto/codec.hpp"
 #include "topo/topology.hpp"
 
@@ -45,37 +44,28 @@ class AddressMap {
 ///    neighbor router id, link data = local interface address) immediately
 ///    followed by the stub link for its /30 transfer network (RFC 12.4.1.1);
 ///    attached prefixes become standalone stub links.
-///  - External-LSA: link state id = prefix network with the lie id in the
-///    host bits (appendix E disambiguation of concurrent lies for one
-///    prefix), advertising router = the controller, type-2 metric, and the
-///    route tag carries the lie id. `withdrawn` maps to age = MaxAge
-///    (premature aging, RFC 14.1): the flush that retracts a lie.
+///  - External-LSA: link state id = the LSA's key, the prefix network with
+///    the lie id in the host bits (igp::external_ls_id: appendix E
+///    disambiguation of concurrent lies for one prefix), advertising router
+///    = the controller, type-2 metric, and the route tag carries the lie id.
+///    `withdrawn` maps to age = MaxAge (premature aging, RFC 14.1): the
+///    flush that retracts a lie.
 /// Asserts on values the wire cannot carry (metric over 24 bits, lie id
 /// over 32) -- those are internal-invariant violations, not input errors.
 [[nodiscard]] WireLsa to_wire(const igp::Lsa& lsa, const AddressMap& addrs);
 
-/// Decode a verified wire LSA back into the in-memory model. Fails typed on
+/// Decode a verified wire LSA back into the in-memory model, keyed by
+/// lsa_key and carrying `lsa` itself as its wire form. Fails typed on
 /// references the map cannot resolve or masks that are not proper prefixes.
 [[nodiscard]] Decoded<igp::Lsa> from_wire(const WireLsa& lsa,
                                           const AddressMap& addrs);
 
-/// The database identity a wire instance of `lsa` carries (what DD
-/// summaries, LS requests and acks are keyed on).
-[[nodiscard]] LsaIdentity wire_identity(const igp::Lsa& lsa,
-                                        const AddressMap& addrs);
-
-/// The link state id an External-LSA for (prefix, lie_id) carries on the
-/// wire: the prefix network with the lie id's host bits (appendix E). The
-/// controller numbers the k-th lie of a set for P as external_ls_id(P, k),
-/// k = 1..n, so its lie ids ARE their link state ids. Ids that agree modulo
-/// 2^(32-len) share one wire identity; the controller session and every
-/// router refuse a different lie at an identity already held.
-[[nodiscard]] std::uint32_t external_ls_id(const net::Prefix& prefix,
-                                           std::uint64_t lie_id);
-
-/// How many host-bit values `prefix` has: 2^(32 - prefix length). Slot 0
-/// (the network address) is never a lie's, so a set for the prefix holds at
-/// most max_coexisting_lies - 1 lies.
-[[nodiscard]] std::uint64_t max_coexisting_lies(const net::Prefix& prefix);
+/// The LSDB key of the LSA a wire identity names: a pure mapping (the
+/// inverse of what to_wire writes). A Router-LSA maps its router id to its
+/// node; an External-LSA maps by link state id, and only when the
+/// controller advertises it. nullopt when the identity names no LSA this
+/// domain can hold -- an unknown router, or an external from another ASBR.
+[[nodiscard]] std::optional<igp::LsaKey> lsa_key(const LsaIdentity& id,
+                                                 const AddressMap& addrs);
 
 }  // namespace fibbing::proto

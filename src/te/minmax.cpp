@@ -315,14 +315,6 @@ util::Result<MinMaxResult> solve_min_max(const topo::Topology& topo,
                                          topo::NodeId dest,
                                          const std::vector<Demand>& demands,
                                          const std::vector<double>& background_bps,
-                                         const MinMaxConfig& config) {
-  return solve_min_max(topo, dest, demands, background_bps, config, nullptr);
-}
-
-util::Result<MinMaxResult> solve_min_max(const topo::Topology& topo,
-                                         topo::NodeId dest,
-                                         const std::vector<Demand>& demands,
-                                         const std::vector<double>& background_bps,
                                          const MinMaxConfig& config,
                                          MinMaxSearch* search) {
   using R = util::Result<MinMaxResult>;
@@ -530,19 +522,6 @@ util::Result<MinMaxResult> solve_min_max(const topo::Topology& topo,
   result.theta = theta;
   if (!config.refine) result.theta_opt = result.theta;
   return result;
-}
-
-util::Result<MinMaxResult> solve_min_max(const topo::Topology& topo,
-                                         topo::NodeId dest,
-                                         const std::vector<Demand>& demands,
-                                         const std::vector<double>& background_bps,
-                                         double precision, double max_stretch,
-                                         const topo::LinkStateMask* link_state) {
-  MinMaxConfig config;
-  config.precision = precision;
-  config.max_stretch = max_stretch;
-  config.link_state = link_state;
-  return solve_min_max(topo, dest, demands, background_bps, config);
 }
 
 std::vector<double> shortest_path_loads(const topo::Topology& topo, topo::NodeId dest,

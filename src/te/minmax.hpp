@@ -62,6 +62,8 @@ struct MinMaxConfig {
   std::vector<bool> support;
 };
 
+class MinMaxSearch;
+
 /// Output of the exact min-max link-utilization solver.
 struct MinMaxResult {
   /// Realized maximum link utilization of the returned flow (may exceed 1
@@ -112,10 +114,16 @@ struct MinMaxResult {
 /// up: down links carry zero capacity and are excluded from the detour
 /// distances, so the optimum is solved on the degraded topology that
 /// actually exists -- no returned split ever crosses a down link.
+///
+/// `search` (optional) carries the binary search across calls on one
+/// instance: when it is already solved the search is skipped and its bound
+/// re-used; when it is fresh the full solve runs and populates it (see
+/// MinMaxSearch).
 [[nodiscard]] util::Result<MinMaxResult> solve_min_max(
     const topo::Topology& topo, topo::NodeId dest,
     const std::vector<Demand>& demands,
-    const std::vector<double>& background_bps, const MinMaxConfig& config);
+    const std::vector<double>& background_bps, const MinMaxConfig& config,
+    MinMaxSearch* search = nullptr);
 
 /// Cached binary-search state of one min-max instance: the pruned usable
 /// link set, the shared reverse Dijkstra and the solved feasibility bound.
@@ -169,24 +177,6 @@ class MinMaxSearch {
   std::vector<topo::Metric> dist_;
   bool dist_valid_ = false;
 };
-
-/// solve_min_max with search reuse: when `search` is already solved the
-/// binary search is skipped and its bound re-used; when it is fresh (or
-/// null) the full solve runs and (if non-null) populates it.
-[[nodiscard]] util::Result<MinMaxResult> solve_min_max(
-    const topo::Topology& topo, topo::NodeId dest,
-    const std::vector<Demand>& demands,
-    const std::vector<double>& background_bps, const MinMaxConfig& config,
-    MinMaxSearch* search);
-
-/// Positional-knob convenience overload (precision / stretch / mask only;
-/// refinement at its defaults).
-[[nodiscard]] util::Result<MinMaxResult> solve_min_max(
-    const topo::Topology& topo, topo::NodeId dest,
-    const std::vector<Demand>& demands,
-    const std::vector<double>& background_bps = {}, double precision = 1e-4,
-    double max_stretch = 0.0,
-    const topo::LinkStateMask* link_state = nullptr);
 
 /// Per-directed-link membership in the shortest-path DAG toward `dest`
 /// (ECMP siblings included), over the links `link_state` leaves up. The

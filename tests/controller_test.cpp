@@ -230,7 +230,7 @@ TEST(Controller, ReplacementWhileTombstonesStandInstallsEveryLie) {
   EXPECT_EQ(set_sizes, (std::vector<std::size_t>{1, 4, 2}));
   const std::vector<Lie>& lies = controller.active_lies().at(narrow);
   for (std::size_t k = 0; k < lies.size(); ++k) {
-    EXPECT_EQ(lies[k].id, proto::external_ls_id(narrow, k + 1));
+    EXPECT_EQ(lies[k].id, igp::external_ls_id(narrow, k + 1));
   }
   service.run_until(service.events().now() + 5.0);
   ASSERT_TRUE(domain.converged());
@@ -251,7 +251,7 @@ TEST(Controller, ReplacementWhileTombstonesStandInstallsEveryLie) {
     }
     for (const std::uint64_t slot : {3, 4}) {
       const igp::Lsa* lsa =
-          lsdb.find({igp::LsaType::kExternal, proto::external_ls_id(narrow, slot)});
+          lsdb.find({igp::LsaType::kExternal, igp::external_ls_id(narrow, slot)});
       EXPECT_TRUE(lsa == nullptr || std::get<igp::ExternalLsa>(lsa->body).withdrawn);
     }
   }

@@ -441,6 +441,8 @@ TEST(Augment, ReductionDropsRedundantLies) {
 /// Fibbing can realize the optimal min-max placement.
 TEST(Augment, RealizesMinMaxDagOnRandomGraphs) {
   util::Rng rng(424242);
+  te::MinMaxConfig config;
+  config.max_stretch = 2.0;
   int compiled = 0;
   for (int trial = 0; trial < 8; ++trial) {
     topo::Topology t =
@@ -466,7 +468,7 @@ TEST(Augment, RealizesMinMaxDagOnRandomGraphs) {
       if (ingress == dest) ingress = (ingress + 1) % scaled.node_count();
       demands.push_back(te::Demand{ingress, rng.uniform(80.0, 250.0)});
     }
-    const auto solution = te::solve_min_max(scaled, dest, demands, {}, 1e-4, 2.0);
+    const auto solution = te::solve_min_max(scaled, dest, demands, {}, config);
     if (!solution.ok()) continue;
     const DestRequirement req =
         requirement_from_splits(prefix, solution.value().splits, 8);

@@ -7,6 +7,7 @@
 #include "igp/domain.hpp"
 #include "igp/lsa.hpp"
 #include "igp/lsdb.hpp"
+#include "igp/router_process.hpp"
 #include "igp/spf.hpp"
 #include "igp/view.hpp"
 #include "support/scenario.hpp"
@@ -247,17 +248,26 @@ TEST(Routes, LieForUnknownPrefixCreatesRoute) {
 
 // ----------------------------------------------------------------- LSDB
 
+LsaPtr external(const ExternalLsa& ext, SeqNum seq) {
+  return std::make_shared<const Lsa>(make_external_lsa(ext, seq));
+}
+
+/// The LSDB key of `ext`: its wire identity, the link state id.
+LsaKey key_of(const ExternalLsa& ext) {
+  return LsaKey{LsaType::kExternal, external_ls_id(ext.prefix, ext.lie_id)};
+}
+
 TEST(Lsdb, NewerSequenceWins) {
   Lsdb db;
   ExternalLsa ext;
   ext.lie_id = 7;
   ext.prefix = net::Prefix(net::Ipv4(203, 0, 113, 0), 24);
-  EXPECT_EQ(db.install(make_external_lsa(ext, 1)), Lsdb::InstallResult::kNewer);
-  EXPECT_EQ(db.install(make_external_lsa(ext, 1)), Lsdb::InstallResult::kDuplicate);
+  EXPECT_EQ(db.install(external(ext, 1)), Lsdb::InstallResult::kNewer);
+  EXPECT_EQ(db.install(external(ext, 1)), Lsdb::InstallResult::kDuplicate);
   ext.ext_metric = 9;
-  EXPECT_EQ(db.install(make_external_lsa(ext, 2)), Lsdb::InstallResult::kNewer);
-  EXPECT_EQ(db.install(make_external_lsa(ext, 1)), Lsdb::InstallResult::kStale);
-  const Lsa* stored = db.find(LsaKey{LsaType::kExternal, 7});
+  EXPECT_EQ(db.install(external(ext, 2)), Lsdb::InstallResult::kNewer);
+  EXPECT_EQ(db.install(external(ext, 1)), Lsdb::InstallResult::kStale);
+  const Lsa* stored = db.find(key_of(ext));
   ASSERT_NE(stored, nullptr);
   EXPECT_EQ(std::get<ExternalLsa>(stored->body).ext_metric, 9u);
 }
@@ -266,10 +276,10 @@ TEST(Lsdb, WithdrawnLsasAreNotLive) {
   Lsdb db;
   ExternalLsa ext;
   ext.lie_id = 7;
-  db.install(make_external_lsa(ext, 1));
+  db.install(external(ext, 1));
   EXPECT_EQ(db.live().size(), 1u);
   ext.withdrawn = true;
-  db.install(make_external_lsa(ext, 2));
+  db.install(external(ext, 2));
   EXPECT_EQ(db.live().size(), 0u);
   EXPECT_EQ(db.all().size(), 1u);  // tombstone retained
 }
@@ -280,18 +290,18 @@ TEST(Lsdb, EscapingOrderIsInsertionOrderIndependent) {
   // order regardless of install history. Build the same content twice with
   // permuted install orders (which produces different hash-table layouts) and
   // demand bit-identical escape sequences.
-  std::vector<Lsa> instances;
+  std::vector<LsaPtr> instances;
   for (std::uint64_t id : {19u, 3u, 42u, 7u, 28u, 11u, 36u, 1u, 23u, 15u,
                            31u, 5u, 40u, 9u, 26u, 13u}) {
     ExternalLsa ext;
     ext.lie_id = id;
     ext.ext_metric = static_cast<topo::Metric>(id * 2);
     ext.withdrawn = (id % 5 == 0);  // a few tombstones: live() != all()
-    instances.push_back(make_external_lsa(ext, /*seq=*/1 + id % 3));
+    instances.push_back(external(ext, /*seq=*/1 + id % 3));
   }
 
   Lsdb forward;
-  for (const Lsa& lsa : instances) forward.install(lsa);
+  for (const LsaPtr& lsa : instances) forward.install(lsa);
   Lsdb reversed;
   for (auto it = instances.rbegin(); it != instances.rend(); ++it)
     reversed.install(*it);
@@ -436,14 +446,60 @@ TEST(Domain, AliasingLieFromAnotherSessionIsDetectedAtDecode) {
   domain.run_to_convergence();
 
   EXPECT_EQ(domain.router(p.r2).alias_collisions(), 1u);
-  // The standing lie survives everywhere; the alias never entered any LSDB.
+  // The standing lie survives everywhere; the alias never entered any LSDB:
+  // the one entry at the shared wire identity still carries lie 1's tag.
+  ASSERT_EQ(key_of(alias), key_of(fb));
   for (NodeId n = 0; n < p.topo.node_count(); ++n) {
-    const Lsa* stored = domain.router(n).lsdb().find(LsaKey{LsaType::kExternal, 1});
+    const Lsa* stored = domain.router(n).lsdb().find(key_of(fb));
     ASSERT_NE(stored, nullptr) << "router " << n;
-    EXPECT_EQ(domain.router(n).lsdb().find(LsaKey{LsaType::kExternal, 129}), nullptr)
-        << "router " << n;
+    EXPECT_EQ(std::get<ExternalLsa>(stored->body).lie_id, 1u) << "router " << n;
   }
   EXPECT_EQ(domain.table(p.b), settled);
+}
+
+TEST(RouterProcess, ExternalFromAnotherRouterIsNotAHeldLiesInstance) {
+  // An External-LSA's wire identity names an LSDB entry only when the
+  // controller advertises it. The same link state id from any other router
+  // is a different LSA, one this domain cannot decode: it must neither be
+  // settled against the held lie's header (here it would read as stale)
+  // nor replace it.
+  const PaperTopology p = make_paper_topology();
+  const proto::AddressMap addrs(p.topo);
+  util::EventQueue events;
+  RouterProcess router(p.b, p.topo.node_count(), addrs, events, IgpTiming{});
+  router.set_controller_send([](const proto::BufferPtr&) {});
+  for (NodeId n = 0; n < p.topo.node_count(); ++n) {
+    router.originate(make_router_lsa(p.topo, n));
+  }
+  const auto receive = [&](const proto::WireLsa& lsa) {
+    proto::LsUpdateBody lsu;
+    lsu.lsas.push_back(lsa);
+    const proto::Packet packet{proto::kControllerRouterId, 0, std::move(lsu)};
+    router.receive_controller_packet(
+        std::make_shared<const proto::Buffer>(proto::encode_packet(packet)));
+    events.run_until(events.now() + 1.0);
+  };
+
+  ExternalLsa fb;
+  fb.lie_id = external_ls_id(p.p1, 1);
+  fb.prefix = p.p1;
+  fb.forwarding_address = fwd_addr(p.topo, p.b, p.r3);
+  const proto::WireLsa lie = proto::to_wire(make_external_lsa(fb, /*seq=*/2), addrs);
+  receive(lie);
+  const RoutingTable held = router.table();
+  ASSERT_EQ(named_hops(p.topo, held.at(p.p1)),
+            (std::map<std::string, std::uint32_t>{{"R2", 1}, {"R3", 1}}));
+
+  proto::WireLsa foreign = proto::to_wire(make_external_lsa(fb, /*seq=*/1), addrs);
+  foreign.header.advertising_router = addrs.router_id(p.a);
+  receive(proto::finalize_lsa(std::move(foreign)));
+
+  EXPECT_EQ(router.decode_errors(), 1u);
+  EXPECT_EQ(router.alias_collisions(), 0u);
+  const Lsa* stored = router.lsdb().find(key_of(fb));
+  ASSERT_NE(stored, nullptr);
+  EXPECT_EQ(stored->wire, lie);
+  EXPECT_EQ(router.table(), held);
 }
 
 TEST(Domain, LsaFloodCountIsBounded) {
@@ -605,13 +661,13 @@ TEST(Domain, RestoreHealsPartitionThroughDatabaseExchange) {
   fb.forwarding_address = fwd_addr(p.topo, p.b, p.r3);
   domain.inject_external(p.r3, fb);
   domain.run_to_convergence();
-  ASSERT_EQ(domain.router(p.a).lsdb().find(LsaKey{LsaType::kExternal, 7}), nullptr);
+  ASSERT_EQ(domain.router(p.a).lsdb().find(key_of(fb)), nullptr);
 
   domain.restore_link(p.topo.link_between(p.a, p.b));
   domain.run_to_convergence();
   // A holds the lie it never heard, and its routes match direct computation
   // on the degraded topology (A-R1 still down) with the lie installed.
-  EXPECT_NE(domain.router(p.a).lsdb().find(LsaKey{LsaType::kExternal, 7}), nullptr);
+  EXPECT_NE(domain.router(p.a).lsdb().find(key_of(fb)), nullptr);
   EXPECT_TRUE(domain.table(p.a).at(p.p1).reachable());
   EXPECT_EQ(named_hops(p.topo, domain.table(p.b).at(p.p1)),
             (std::map<std::string, std::uint32_t>{{"R2", 1}, {"R3", 1}}));

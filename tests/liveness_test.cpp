@@ -256,7 +256,8 @@ TEST(Liveness, WithdrawChurnFlushesTombstonesAndBoundsTheLsdb) {
     for (NodeId n = 0; n < p.topo.node_count(); ++n) {
       ASSERT_EQ(domain.router(n).lsdb().size(), base)
           << "router " << n << " cycle " << id;
-      ASSERT_EQ(domain.router(n).lsdb().find(LsaKey{LsaType::kExternal, id}),
+      ASSERT_EQ(domain.router(n).lsdb().find(
+                    LsaKey{LsaType::kExternal, external_ls_id(lie.prefix, id)}),
                 nullptr)
           << "router " << n << " cycle " << id;
     }

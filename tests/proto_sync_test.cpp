@@ -165,21 +165,22 @@ TEST(ProtoSync, PartitionHealReconvergesBitIdenticalAndRequestsOnlyTheDelta) {
   ExternalLsa l2 = l1;
   l2.lie_id = 2;
   l2.ext_metric = 5;
+  const LsaKey l1_key{LsaType::kExternal, igp::external_ls_id(pfx, l1.lie_id)};
+  const LsaKey l2_key{LsaType::kExternal, igp::external_ls_id(pfx, l2.lie_id)};
   ASSERT_TRUE(domain.withdraw_external(session_router, 1).ok());
   domain.inject_external(session_router, l2);
   domain.run_to_convergence();
   {
     const Lsdb& marooned = domain.router(right + 7).lsdb();
-    const Lsa* stale = marooned.find(LsaKey{LsaType::kExternal, 1});
+    const Lsa* stale = marooned.find(l1_key);
     ASSERT_NE(stale, nullptr);
     EXPECT_FALSE(std::get<ExternalLsa>(stale->body).withdrawn);
-    EXPECT_EQ(marooned.find(LsaKey{LsaType::kExternal, 2}), nullptr);
+    EXPECT_EQ(marooned.find(l2_key), nullptr);
   }
 
   // On the left, L1's tombstone has by now been fully acknowledged and
   // flushed (RFC 14): left LSDBs hold no trace of L1 at all.
-  EXPECT_EQ(domain.router(session_router).lsdb().find(LsaKey{LsaType::kExternal, 1}),
-            nullptr);
+  EXPECT_EQ(domain.router(session_router).lsdb().find(l1_key), nullptr);
   EXPECT_GT(domain.router(session_router).tombstones_flushed(), 0u);
 
   domain.restore_link(bridge);
@@ -206,8 +207,8 @@ TEST(ProtoSync, PartitionHealReconvergesBitIdenticalAndRequestsOnlyTheDelta) {
   EXPECT_GE(domain.controller_session(session_router).counters().reflushes, 1u);
   {
     const Lsdb& healed = domain.router(right + 7).lsdb();
-    EXPECT_EQ(healed.find(LsaKey{LsaType::kExternal, 1}), nullptr);
-    ASSERT_NE(healed.find(LsaKey{LsaType::kExternal, 2}), nullptr);
+    EXPECT_EQ(healed.find(l1_key), nullptr);
+    ASSERT_NE(healed.find(l2_key), nullptr);
   }
   for (NodeId n = 1; n < t.node_count(); ++n) {
     ASSERT_TRUE(domain.router(0).lsdb().same_content(domain.router(n).lsdb()))
@@ -235,14 +236,14 @@ TEST(ProtoSync, TombstoneFlushedBeforeItsLsRequestRestartsTheExchange) {
   const topo::PaperTopology p = topo::make_paper_topology();
   const proto::AddressMap addrs(p.topo);
   ExternalLsa withdrawn;
-  withdrawn.lie_id = proto::external_ls_id(p.p1, 1);
+  withdrawn.lie_id = igp::external_ls_id(p.p1, 1);
   withdrawn.prefix = p.p1;
   withdrawn.ext_metric = 2;
   withdrawn.forwarding_address = fa_toward(p.topo, p.b, p.r2);
   withdrawn.withdrawn = true;
   const proto::WireLsa tombstone = proto::to_wire(make_external_lsa(withdrawn, 2), addrs);
   ExternalLsa live = withdrawn;
-  live.lie_id = proto::external_ls_id(p.p1, 2);
+  live.lie_id = igp::external_ls_id(p.p1, 2);
   live.withdrawn = false;
   const proto::WireLsa lie = proto::to_wire(make_external_lsa(live, 1), addrs);
   const proto::LsaIdentity tomb_id = proto::identity_of(tombstone.header);

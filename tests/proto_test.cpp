@@ -200,6 +200,34 @@ TEST(Codec, RouterLsaTranslationRoundTrips) {
   // And the wire seq mapping anchors at InitialSequenceNumber.
   EXPECT_EQ(to_wire_seq(1), kInitialSequence);
   EXPECT_EQ(from_wire_seq(to_wire_seq(5)), 5u);
+
+  // The key survives the round trip, is what the wire identity maps to, and
+  // the decoded LSA carries the wire form it came from: the Router-LSA and
+  // lies on a /24, a /25 and a /32 (an External-LSA's key is its link state
+  // id, which for a hand-picked lie id is not the id itself).
+  std::vector<igp::Lsa> inputs{original};
+  const std::pair<net::Prefix, std::uint64_t> lies[] = {
+      {net::Prefix(net::Ipv4(203, 0, 113, 0), 24), 7},
+      {p.p1, igp::external_ls_id(p.p1, 2)},
+      {net::Prefix(net::Ipv4(10, 1, 2, 3), 32), 9},
+  };
+  for (const auto& [prefix, lie_id] : lies) {
+    igp::ExternalLsa ext;
+    ext.lie_id = lie_id;
+    ext.prefix = prefix;
+    ext.forwarding_address = net::Ipv4(10, 0, 0, 1);
+    inputs.push_back(igp::make_external_lsa(ext, 3));
+  }
+  for (const igp::Lsa& lsa : inputs) {
+    const WireLsa encoded = to_wire(lsa, addrs);
+    const Decoded<igp::Lsa> decoded = from_wire(encoded, addrs);
+    ASSERT_TRUE(decoded.ok()) << igp::to_string(lsa);
+    EXPECT_EQ(decoded.value().id, lsa.id) << igp::to_string(lsa);
+    EXPECT_EQ(lsa_key(identity_of(encoded.header), addrs), lsa.id)
+        << igp::to_string(lsa);
+    EXPECT_EQ(decoded.value().wire, encoded) << igp::to_string(lsa);
+  }
+  EXPECT_EQ(inputs[1].id.key, net::Ipv4(203, 0, 113, 7).bits());
 }
 
 // ------------------------------------------------------- fuzz-style coverage
@@ -646,7 +674,7 @@ TEST(ControllerSession, RefusesLieAliasingALiveOne) {
   // A /30 leaves 2 host bits: at most 4 coexisting lies, and ids congruent
   // modulo 4 share a wire identity.
   const net::Prefix narrow(net::Ipv4(203, 0, 113, 0), 30);
-  EXPECT_EQ(max_coexisting_lies(narrow), 4u);
+  EXPECT_EQ(igp::max_coexisting_lies(narrow), 4u);
   igp::ExternalLsa first;
   first.lie_id = 1;
   first.prefix = narrow;
@@ -656,7 +684,7 @@ TEST(ControllerSession, RefusesLieAliasingALiveOne) {
 
   igp::ExternalLsa alias = first;
   alias.lie_id = 5;  // 5 == 1 (mod 4): same appendix-E host bits
-  EXPECT_EQ(external_ls_id(narrow, 1), external_ls_id(narrow, 5));
+  EXPECT_EQ(igp::external_ls_id(narrow, 1), igp::external_ls_id(narrow, 5));
   const util::Status refused = session.inject(alias);
   EXPECT_FALSE(refused.ok());
   EXPECT_NE(refused.error().find("aliases live lie"), std::string::npos);
@@ -720,7 +748,7 @@ TEST(ControllerSession, ReannouncingAReusedSlotContinuesItsSequenceSpace) {
 
   // Slot 1 of p1: the lie id is its link state id.
   igp::ExternalLsa slot;
-  slot.lie_id = external_ls_id(p.p1, 1);
+  slot.lie_id = igp::external_ls_id(p.p1, 1);
   slot.prefix = p.p1;
   slot.ext_metric = 1;
   slot.forwarding_address = net::Ipv4(10, 0, 0, 2);
@@ -752,12 +780,12 @@ TEST(ControllerSession, ReannouncingAReusedSlotContinuesItsSequenceSpace) {
 
 TEST(Translate, ExternalLsIdFoldsLieIdIntoHostBits) {
   const net::Prefix p24(net::Ipv4(203, 0, 113, 0), 24);
-  EXPECT_EQ(external_ls_id(p24, 7), net::Ipv4(203, 0, 113, 7).bits());
-  EXPECT_EQ(external_ls_id(p24, 256 + 7), net::Ipv4(203, 0, 113, 7).bits());
-  EXPECT_EQ(max_coexisting_lies(p24), 256u);
+  EXPECT_EQ(igp::external_ls_id(p24, 7), net::Ipv4(203, 0, 113, 7).bits());
+  EXPECT_EQ(igp::external_ls_id(p24, 256 + 7), net::Ipv4(203, 0, 113, 7).bits());
+  EXPECT_EQ(igp::max_coexisting_lies(p24), 256u);
   const net::Prefix p32(net::Ipv4(10, 1, 2, 3), 32);
-  EXPECT_EQ(external_ls_id(p32, 9), net::Ipv4(10, 1, 2, 3).bits());
-  EXPECT_EQ(max_coexisting_lies(p32), 1u);
+  EXPECT_EQ(igp::external_ls_id(p32, 9), net::Ipv4(10, 1, 2, 3).bits());
+  EXPECT_EQ(igp::max_coexisting_lies(p32), 1u);
 }
 
 }  // namespace

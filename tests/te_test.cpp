@@ -2,7 +2,6 @@
 
 #include <numeric>
 
-#include "te/kshortest.hpp"
 #include "te/maxflow.hpp"
 #include "te/minmax.hpp"
 #include "te/mpls.hpp"
@@ -140,7 +139,7 @@ TEST(MinMax, PaperSurgeOptimum) {
   // links (cuts {R2-C, R3-C, R4-C}): theta* = 200/300 = 2/3.
   const PaperTopology p = make_paper_topology(100.0);
   const std::vector<Demand> demands{{p.a, 100.0}, {p.b, 100.0}};
-  const auto result = solve_min_max(p.topo, p.c, demands);
+  const auto result = solve_min_max(p.topo, p.c, demands, {}, {});
   ASSERT_TRUE(result.ok()) << result.error();
   EXPECT_NEAR(result.value().theta, 2.0 / 3.0, 1e-3);
 }
@@ -151,7 +150,7 @@ TEST(MinMax, BeatsShortestPathOnPaperTopology) {
   const double spf_theta = shortest_path_max_utilization(p.topo, p.c, demands);
   // Plain IGP sends everything through B-R2-C: 200 on a 100-capacity link.
   EXPECT_NEAR(spf_theta, 2.0, 1e-9);
-  const auto optimal = solve_min_max(p.topo, p.c, demands);
+  const auto optimal = solve_min_max(p.topo, p.c, demands, {}, {});
   ASSERT_TRUE(optimal.ok());
   EXPECT_LT(optimal.value().theta, spf_theta / 2.5);
 }
@@ -159,7 +158,7 @@ TEST(MinMax, BeatsShortestPathOnPaperTopology) {
 TEST(MinMax, SplitsFormDagCoveringDemand) {
   const PaperTopology p = make_paper_topology(100.0);
   const std::vector<Demand> demands{{p.a, 100.0}, {p.b, 100.0}};
-  const auto result = solve_min_max(p.topo, p.c, demands);
+  const auto result = solve_min_max(p.topo, p.c, demands, {}, {});
   ASSERT_TRUE(result.ok());
   const MinMaxResult& mm = result.value();
 
@@ -189,8 +188,8 @@ TEST(MinMax, RespectsBackgroundLoad) {
   std::vector<double> background(p.topo.link_count(), 0.0);
   background[p.topo.link_between(p.b, p.r2)] = 80.0;
   const std::vector<Demand> demands{{p.b, 100.0}};
-  const auto with_bg = solve_min_max(p.topo, p.c, demands, background);
-  const auto without = solve_min_max(p.topo, p.c, demands);
+  const auto with_bg = solve_min_max(p.topo, p.c, demands, background, {});
+  const auto without = solve_min_max(p.topo, p.c, demands, {}, {});
   ASSERT_TRUE(with_bg.ok());
   ASSERT_TRUE(without.ok());
   EXPECT_GT(with_bg.value().theta, without.value().theta);
@@ -219,7 +218,7 @@ TEST(MinMax, FeasibilitySlackScalesToMultiGbpsDemand) {
   // invisible; the scale-aware slack must keep the oracle's verdict stable.
   const PaperTopology p = make_paper_topology(100e9);
   const std::vector<Demand> demands{{p.a, 100e9}, {p.b, 100e9}};
-  const auto result = solve_min_max(p.topo, p.c, demands);
+  const auto result = solve_min_max(p.topo, p.c, demands, {}, {});
   ASSERT_TRUE(result.ok()) << result.error();
   EXPECT_NEAR(result.value().theta, 2.0 / 3.0, 1e-3);
 }
@@ -396,7 +395,7 @@ TEST(MinMax, SupportRestrictionLimitsPlacement) {
 
 TEST(MinMax, ZeroDemandIsTrivial) {
   const PaperTopology p = make_paper_topology();
-  const auto result = solve_min_max(p.topo, p.c, {});
+  const auto result = solve_min_max(p.topo, p.c, {}, {}, {});
   ASSERT_TRUE(result.ok());
   EXPECT_DOUBLE_EQ(result.value().theta, 0.0);
   EXPECT_TRUE(result.value().splits.empty());
@@ -406,7 +405,7 @@ TEST(MinMax, OverloadReportsThetaAboveOne) {
   const PaperTopology p = make_paper_topology(100.0);
   // 600 units cannot fit into the 300-capacity cut around C.
   const std::vector<Demand> demands{{p.a, 300.0}, {p.b, 300.0}};
-  const auto result = solve_min_max(p.topo, p.c, demands);
+  const auto result = solve_min_max(p.topo, p.c, demands, {}, {});
   ASSERT_TRUE(result.ok());
   EXPECT_NEAR(result.value().theta, 2.0, 1e-3);
 }
@@ -424,7 +423,7 @@ TEST(MinMax, OptimalityAndFeasibilityOnRandomGraphs) {
       if (ingress == dest) ingress = (ingress + 1) % t.node_count();
       demands.push_back(Demand{ingress, rng.uniform(50.0, 200.0)});
     }
-    const auto result = solve_min_max(t, dest, demands);
+    const auto result = solve_min_max(t, dest, demands, {}, {});
     ASSERT_TRUE(result.ok()) << "trial " << trial;
     const double spf = shortest_path_max_utilization(t, dest, demands);
     EXPECT_LE(result.value().theta, spf + 1e-6) << "trial " << trial;
@@ -485,52 +484,12 @@ TEST(Ratio, ErrorBoundProperty) {
   }
 }
 
-// ----------------------------------------------------------------- kshortest
-
-TEST(KShortest, FirstPathIsShortest) {
-  const PaperTopology p = make_paper_topology();
-  const auto paths = k_shortest_paths(p.topo, p.a, p.c, 3);
-  ASSERT_GE(paths.size(), 2u);
-  EXPECT_EQ(paths[0].cost, 6u);           // A-B-R2-C
-  EXPECT_EQ(paths[0].links.size(), 3u);
-  EXPECT_LE(paths[0].cost, paths[1].cost);  // nondecreasing
-}
-
-TEST(KShortest, EnumeratesAllSimplePaths) {
-  const PaperTopology p = make_paper_topology();
-  // A->C has exactly 4 simple paths in this graph... via B-R2, via B-R3,
-  // via R1-R4, and the long A-B...R1 detours are blocked (A-R1 only from A).
-  const auto paths = k_shortest_paths(p.topo, p.a, p.c, 10);
-  ASSERT_GE(paths.size(), 3u);
-  // Costs: 6 (A-B-R2-C), 8 (A-B-R3-C and A-R1-R4-C).
-  EXPECT_EQ(paths[0].cost, 6u);
-  EXPECT_EQ(paths[1].cost, 8u);
-  EXPECT_EQ(paths[2].cost, 8u);
-  // All loopless and genuinely distinct.
-  for (std::size_t i = 0; i < paths.size(); ++i) {
-    for (std::size_t j = i + 1; j < paths.size(); ++j) {
-      EXPECT_NE(paths[i].links, paths[j].links);
-    }
-  }
-}
-
-TEST(KShortest, RespectsBans) {
-  const PaperTopology p = make_paper_topology();
-  std::vector<bool> banned_links(p.topo.link_count(), false);
-  const topo::LinkId br2 = p.topo.link_between(p.b, p.r2);
-  banned_links[br2] = true;
-  banned_links[p.topo.link(br2).reverse] = true;
-  const Path path = shortest_path(p.topo, p.b, p.c, {}, banned_links);
-  ASSERT_FALSE(path.empty());
-  EXPECT_EQ(path.cost, 6u);  // B-R3-C
-}
-
 // ---------------------------------------------------------------------- MPLS
 
 TEST(Mpls, TunnelsCoverDemandAndRespectFlows) {
   const PaperTopology p = make_paper_topology(100.0);
   const std::vector<Demand> demands{{p.a, 100.0}, {p.b, 100.0}};
-  const auto solution = solve_min_max(p.topo, p.c, demands);
+  const auto solution = solve_min_max(p.topo, p.c, demands, {}, {});
   ASSERT_TRUE(solution.ok());
   const auto tunnels = tunnels_from_splits(p.topo, solution.value(), demands, p.c);
 
@@ -560,7 +519,7 @@ TEST(Mpls, TunnelsCoverDemandAndRespectFlows) {
 TEST(Mpls, OverheadAccountingCountsStateAndMessages) {
   const PaperTopology p = make_paper_topology(100.0);
   const std::vector<Demand> demands{{p.a, 100.0}, {p.b, 100.0}};
-  const auto solution = solve_min_max(p.topo, p.c, demands);
+  const auto solution = solve_min_max(p.topo, p.c, demands, {}, {});
   ASSERT_TRUE(solution.ok());
   const auto tunnels = tunnels_from_splits(p.topo, solution.value(), demands, p.c);
   const MplsOverhead overhead = account_overhead(tunnels);
