@@ -7,7 +7,9 @@
 //   - an end-to-end controller reaction (optimize + compile + verify),
 // sized at Waxman graphs of 25..200 routers (ISP scale) -- plus whole-domain
 // protocol convergence across ShardPool worker counts, which is what the CI
-// perf diff watches for the sharding speedup.
+// perf diff watches for the sharding speedup, and one link fail/restore's
+// reconvergence on a converged domain (router-side SPF, full and
+// incremental).
 
 #include <benchmark/benchmark.h>
 
@@ -153,6 +155,53 @@ BENCHMARK(BM_DomainConvergence)
     ->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()
     ->UseRealTime();
+
+void BM_LinkFlipReconvergence(benchmark::State& state) {
+  // One link event's reconvergence on a converged domain: each iteration
+  // fails a redundant link and restores it, each through
+  // run_to_convergence. Per router that is the new Router-LSAs' installs,
+  // the in-place view patches and the SPF runs they feed (full or
+  // incremental). Boot stays outside the timed loop, so view_rebuilds --
+  // full rebuilds of a router's view from its LSDB -- should read 0.
+  // Counters are per iteration.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  util::Rng rng(2000 + n);
+  topo::Topology t = topo::make_waxman(n, rng, 0.2, 0.25, 10);
+  t.attach_prefix(0, net::Prefix(net::Ipv4(203, 0, 113, 0), 24), 0);
+  util::EventQueue events;
+  igp::IgpDomain domain(t, events);
+  domain.start();
+  domain.run_to_convergence();
+  // A link whose endpoints keep two more adjacencies each: failing it
+  // cannot cut either of them off.
+  topo::LinkId flipped = topo::kInvalidLink;
+  for (topo::LinkId l = 0; l < t.link_count() && flipped == topo::kInvalidLink; ++l) {
+    if (t.out_links(t.link(l).from).size() >= 3 && t.out_links(t.link(l).to).size() >= 3) {
+      flipped = l;
+    }
+  }
+  if (flipped == topo::kInvalidLink) {
+    state.SkipWithError("no redundant link");
+    return;
+  }
+  const std::uint64_t spf_runs = domain.total_spf_runs();
+  const std::uint64_t incremental = domain.total_spf_incremental_runs();
+  const std::uint64_t rebuilds = domain.total_view_rebuilds();
+  for (auto _ : state) {
+    domain.fail_link(flipped);
+    domain.run_to_convergence();
+    domain.restore_link(flipped);
+    domain.run_to_convergence();
+  }
+  const auto per_iteration = [&](std::uint64_t total, std::uint64_t at_boot) {
+    return static_cast<double>(total - at_boot) / static_cast<double>(state.iterations());
+  };
+  state.counters["spf_runs"] = per_iteration(domain.total_spf_runs(), spf_runs);
+  state.counters["spf_incremental_runs"] =
+      per_iteration(domain.total_spf_incremental_runs(), incremental);
+  state.counters["view_rebuilds"] = per_iteration(domain.total_view_rebuilds(), rebuilds);
+}
+BENCHMARK(BM_LinkFlipReconvergence)->Arg(150)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -162,6 +162,9 @@ class IgpDomain {
   /// How many of those SPF runs avoided the full Dijkstra (incremental
   /// repair or certified-unchanged); deterministic across shard counts.
   [[nodiscard]] std::uint64_t total_spf_incremental_runs() const;
+  /// SPF runs that rebuilt their router's view from the whole LSDB (see
+  /// RouterProcess::view_rebuilds); deterministic across shard counts.
+  [[nodiscard]] std::uint64_t total_view_rebuilds() const;
   [[nodiscard]] proto::SessionCounters total_proto_counters() const;
 
   /// The sharded engine's execution telemetry (rounds, events, cross-shard

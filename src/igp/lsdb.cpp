@@ -6,14 +6,16 @@
 
 namespace fibbing::igp {
 
-Lsdb::InstallResult Lsdb::install(LsaPtr lsa) {
+Lsdb::InstallResult Lsdb::install(LsaPtr lsa, LsaPtr* replaced) {
   FIB_ASSERT(lsa != nullptr, "Lsdb::install: null LSA");
   auto it = entries_.find(lsa->id);
   if (it == entries_.end()) {
     entries_.emplace(lsa->id, std::move(lsa));
+    if (replaced != nullptr) replaced->reset();
     return InstallResult::kNewer;
   }
   if (lsa->seq > it->second->seq) {
+    if (replaced != nullptr) *replaced = std::move(it->second);
     it->second = std::move(lsa);
     return InstallResult::kNewer;
   }

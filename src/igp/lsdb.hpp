@@ -18,8 +18,9 @@ class Lsdb {
   enum class InstallResult { kNewer, kDuplicate, kStale };
 
   /// Install an LSA instance. kNewer means the database changed (and the
-  /// caller should re-flood and schedule SPF).
-  InstallResult install(LsaPtr lsa);
+  /// caller should re-flood and schedule SPF); `replaced`, when given, then
+  /// receives the instance it displaced (null for a new key).
+  InstallResult install(LsaPtr lsa, LsaPtr* replaced = nullptr);
 
   [[nodiscard]] const Lsa* find(const LsaKey& key) const;
   [[nodiscard]] std::size_t size() const { return entries_.size(); }

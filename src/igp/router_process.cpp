@@ -109,7 +109,9 @@ void RouterProcess::maybe_flush_tombstone_(const proto::LsaIdentity& id) {
     if (session->in_exchange() || session->references(id)) return;
   }
   FIB_LOG(kDebug, "igp") << "router " << self_ << ": flushing MaxAge tombstone";
-  lsdb_.erase(*proto::lsa_key(id, *addrs_));
+  const LsaKey key = *proto::lsa_key(id, *addrs_);
+  patch_view_(lsdb_.find(key), nullptr);
+  lsdb_.erase(key);
   tombstones_.erase(id);
   ++tombstones_flushed_;
 }
@@ -128,7 +130,9 @@ void RouterProcess::on_flood_acked(const proto::LsaIdentity& id) {
 void RouterProcess::originate(Lsa lsa) {
   lsa.wire = proto::to_wire(lsa, *addrs_);
   const LsaPtr stored = std::make_shared<const Lsa>(std::move(lsa));
-  if (lsdb_.install(stored) != Lsdb::InstallResult::kNewer) return;
+  LsaPtr replaced;
+  if (lsdb_.install(stored, &replaced) != Lsdb::InstallResult::kNewer) return;
+  patch_view_(replaced.get(), stored.get());
   const proto::WireLsa& wire = stored->wire;
   index_tombstone_(wire.header);
   flood_(wire, /*except_router_id=*/addrs_->router_id(self_));
@@ -234,10 +238,11 @@ proto::DatabaseFacade::DeliverResult RouterProcess::deliver(
                           << translated.error().detail << ")";
     return DeliverResult::kDuplicate;
   }
-  const auto result =
-      lsdb_.install(std::make_shared<const Lsa>(std::move(translated).value()));
-  switch (result) {
+  const LsaPtr installed = std::make_shared<const Lsa>(std::move(translated).value());
+  LsaPtr replaced;
+  switch (lsdb_.install(installed, &replaced)) {
     case Lsdb::InstallResult::kNewer:
+      patch_view_(replaced.get(), installed.get());
       index_tombstone_(lsa.header);
       flood_(lsa, from_router_id);
       schedule_spf_();
@@ -334,51 +339,45 @@ void RouterProcess::schedule_spf_() {
   });
 }
 
+void RouterProcess::patch_view_(const Lsa* before, const Lsa* after) {
+  if (view_stale_) return;  // the next SPF run rebuilds from the LSDB
+  const Lsa& changed = after != nullptr ? *after : *before;
+  if (const auto* router = std::get_if<RouterLsa>(&changed.body)) {
+    changed_edges_.try_emplace(router->origin, view_.edges_from(router->origin));
+  }
+  view_stale_ = !view_.patch(lsdb_, before, after);
+}
+
 namespace {
 
-/// Directed adjacency changes between two LSDB-derived views of the same
-/// domain: the inputs to a batched incremental SPF repair. Per-node
-/// multiset difference of the out-edge lists (a metric change shows up as a
-/// removal plus an insertion).
-std::vector<EdgeDelta> adjacency_deltas(const NetworkView& prev,
-                                        const NetworkView& next) {
-  std::vector<EdgeDelta> deltas;
-  const auto key = [](const NetworkView::Edge& e) {
-    return std::make_pair(e.to, e.metric);
+/// Append node `u`'s directed adjacency changes from `before` to `after`:
+/// the multiset difference of the two out-edge lists (a metric change shows
+/// up as a removal plus an insertion), in (to, metric) order.
+void append_edge_deltas(topo::NodeId u, const std::vector<NetworkView::Edge>& before,
+                        const std::vector<NetworkView::Edge>& after,
+                        std::vector<EdgeDelta>& deltas) {
+  if (before == after) return;
+  const auto by_key = [](const NetworkView::Edge& x, const NetworkView::Edge& y) {
+    return std::pair(x.to, x.metric) < std::pair(y.to, y.metric);
   };
-  for (topo::NodeId u = 0; u < next.node_count(); ++u) {
-    const auto& before = prev.edges_from(u);
-    const auto& after = next.edges_from(u);
-    if (before.size() == after.size() &&
-        std::equal(before.begin(), before.end(), after.begin(),
-                   [&](const NetworkView::Edge& x, const NetworkView::Edge& y) {
-                     return key(x) == key(y);
-                   })) {
-      continue;
-    }
-    std::vector<NetworkView::Edge> a(before.begin(), before.end());
-    std::vector<NetworkView::Edge> b(after.begin(), after.end());
-    const auto by_key = [&](const NetworkView::Edge& x, const NetworkView::Edge& y) {
-      return key(x) < key(y);
-    };
-    std::sort(a.begin(), a.end(), by_key);
-    std::sort(b.begin(), b.end(), by_key);
-    std::size_t i = 0;
-    std::size_t j = 0;
-    while (i < a.size() || j < b.size()) {
-      if (j == b.size() || (i < a.size() && key(a[i]) < key(b[j]))) {
-        deltas.push_back(EdgeDelta{u, a[i].to, a[i].metric, /*removed=*/true});
-        ++i;
-      } else if (i == a.size() || key(b[j]) < key(a[i])) {
-        deltas.push_back(EdgeDelta{u, b[j].to, b[j].metric, /*removed=*/false});
-        ++j;
-      } else {
-        ++i;
-        ++j;
-      }
+  std::vector<NetworkView::Edge> a = before;
+  std::vector<NetworkView::Edge> b = after;
+  std::sort(a.begin(), a.end(), by_key);
+  std::sort(b.begin(), b.end(), by_key);
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (i < a.size() || j < b.size()) {
+    if (j == b.size() || (i < a.size() && by_key(a[i], b[j]))) {
+      deltas.push_back(EdgeDelta{u, a[i].to, a[i].metric, /*removed=*/true});
+      ++i;
+    } else if (i == a.size() || by_key(b[j], a[i])) {
+      deltas.push_back(EdgeDelta{u, b[j].to, b[j].metric, /*removed=*/false});
+      ++j;
+    } else {
+      ++i;
+      ++j;
     }
   }
-  return deltas;
 }
 
 /// Past this many flipped directed edges the change is a bulk LSDB
@@ -390,37 +389,40 @@ constexpr std::size_t kMaxRouterSpfDeltas = 16;
 
 void RouterProcess::run_spf_now_() {
   ++spf_runs_;
-  NetworkView view = NetworkView::from_lsdb(lsdb_, node_count_);
-  bool avoided_full = false;
-  if (prev_view_.has_value()) {
-    // The hold-down window accumulated some set of LSDB changes; diff the
-    // resulting adjacency sets and repair the previous SPF incrementally.
-    // Lie (External-LSA) churn leaves the adjacency diff empty: the old
-    // distances are certified unchanged and only routes are recomputed.
-    const std::vector<EdgeDelta> deltas = adjacency_deltas(*prev_view_, view);
-    if (deltas.size() <= kMaxRouterSpfDeltas) {
-      SpfUpdate update = update_spf(view, prev_spf_, deltas);
-      switch (update.mode) {
-        case SpfUpdate::Mode::kUnchanged:
-          avoided_full = true;  // prev_spf_ is already exact for `view`
-          break;
-        case SpfUpdate::Mode::kIncremental:
-          avoided_full = true;
-          prev_spf_ = std::move(update.result);
-          break;
-        case SpfUpdate::Mode::kFull:
-          prev_spf_ = std::move(update.result);
-          break;
-      }
-    } else {
-      prev_spf_ = run_spf(view, self_);
+  const bool first_run = spf_runs_ == 1;
+  // The hold-down window's adjacency changes: every changed node's
+  // snapshot against its current out-edges, in ascending node order -- and
+  // every node when the view has to be rebuilt.
+  std::vector<EdgeDelta> deltas;
+  if (view_stale_) {
+    NetworkView fresh = NetworkView::from_lsdb(lsdb_, node_count_);
+    ++view_rebuilds_;
+    for (topo::NodeId u = 0; !first_run && u < node_count_; ++u) {
+      // Untouched nodes' out-edges in view_ are still the previous run's.
+      const auto it = changed_edges_.find(u);
+      append_edge_deltas(u, it != changed_edges_.end() ? it->second : view_.edges_from(u),
+                         fresh.edges_from(u), deltas);
     }
+    view_ = std::move(fresh);
+    view_stale_ = false;
   } else {
-    prev_spf_ = run_spf(view, self_);
+    for (const auto& [u, before] : changed_edges_) {
+      append_edge_deltas(u, before, view_.edges_from(u), deltas);
+    }
+  }
+  changed_edges_.clear();
+  // Lie (External-LSA) churn leaves no deltas: the old distances are
+  // certified unchanged and only routes are recomputed.
+  bool avoided_full = false;
+  if (first_run || deltas.size() > kMaxRouterSpfDeltas) {
+    prev_spf_ = run_spf(view_, self_);
+  } else {
+    SpfUpdate update = update_spf(view_, prev_spf_, deltas);
+    avoided_full = update.mode != SpfUpdate::Mode::kFull;
+    if (update.mode != SpfUpdate::Mode::kUnchanged) prev_spf_ = std::move(update.result);
   }
   if (avoided_full) ++spf_incremental_runs_;
-  table_ = compute_routes(view, prev_spf_);
-  prev_view_ = std::move(view);
+  table_ = compute_routes(view_, prev_spf_);
   FIB_LOG(kDebug, "igp") << "router " << self_ << " spf run #" << spf_runs_ << ", "
                          << table_.size() << " routes"
                          << (avoided_full ? " (incremental)" : "");

@@ -4,7 +4,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <set>
 #include <vector>
 
@@ -143,13 +142,17 @@ class RouterProcess final : private proto::DatabaseFacade {
   [[nodiscard]] std::uint64_t decode_errors() const { return decode_errors_; }
   [[nodiscard]] std::uint64_t spf_runs() const { return spf_runs_; }
   /// SPF runs that avoided the full Dijkstra: the hold-down window's LSDB
-  /// change set was repaired incrementally against the previous run's view
-  /// (or certified unchanged -- e.g. pure lie churn, which leaves the
-  /// adjacency diff empty). Always <= spf_runs(); deterministic, so the
-  /// shard bit-identity suite compares it across worker counts.
+  /// change set was repaired incrementally against the previous run's
+  /// result (or certified unchanged -- e.g. pure lie churn, which changes
+  /// no adjacency). Always <= spf_runs(); deterministic, so the shard
+  /// bit-identity suite compares it across worker counts.
   [[nodiscard]] std::uint64_t spf_incremental_runs() const {
     return spf_incremental_runs_;
   }
+  /// SPF runs that rebuilt the view from the whole LSDB instead of reading
+  /// the one patched at each install: the first run, and any run after a
+  /// Router-LSA origin appeared or vanished. Deterministic, like the above.
+  [[nodiscard]] std::uint64_t view_rebuilds() const { return view_rebuilds_; }
   /// External LSAs rejected because their route tag named a different lie
   /// than the one holding the same wire identity, live or tombstoned
   /// (appendix-E host-bit collision) -- each one is an aliasing event that
@@ -183,6 +186,9 @@ class RouterProcess final : private proto::DatabaseFacade {
   /// router carries one): RFC 13.4 self-originated handling lets the
   /// controller kill stale lie instances a healed partition resurrects.
   void echo_to_controller_(const proto::WireLsa& lsa);
+  /// Carry one LSDB change (see NetworkView::patch) into view_, first
+  /// snapshotting a Router-LSA origin's out-edges for the next SPF run.
+  void patch_view_(const Lsa* before, const Lsa* after);
   void schedule_spf_();
   void run_spf_now_();
 
@@ -221,12 +227,21 @@ class RouterProcess final : private proto::DatabaseFacade {
   std::uint64_t decode_errors_ = 0;
   std::uint64_t spf_runs_ = 0;
   std::uint64_t spf_incremental_runs_ = 0;
+  std::uint64_t view_rebuilds_ = 0;  // obs:registered(igp.view_rebuilds)
   std::uint64_t alias_collisions_ = 0;
   std::uint64_t tombstones_flushed_ = 0;
-  /// The previous SPF run's inputs and result: the basis the next run
-  /// repairs incrementally instead of re-running Dijkstra from scratch.
-  /// `prev_spf_` is valid exactly when `prev_view_` is engaged.
-  std::optional<NetworkView> prev_view_;
+  /// What SPF reads: NetworkView::from_lsdb(lsdb_), kept current by
+  /// patching it at every install and erase. While `view_stale_` (from
+  /// construction, and after a patch that could not apply) patching stops
+  /// and the next SPF run rebuilds it.
+  NetworkView view_;
+  bool view_stale_ = true;
+  /// Out-edges, as of the previous SPF run, of every node whose Router-LSA
+  /// changed since, snapshotted at its first patch: the next run's edge
+  /// deltas are these against view_.
+  std::map<topo::NodeId, std::vector<NetworkView::Edge>> changed_edges_;
+  /// The previous SPF run's result: the basis the next run repairs
+  /// incrementally instead of re-running Dijkstra from scratch.
   SpfResult prev_spf_;
 };
 

@@ -341,6 +341,16 @@ SpfUpdate update_spf(const NetworkView& new_view, const SpfResult& old,
       if (d.removed || res.dist[d.from] >= kInfMetric) continue;
       improve(d.to, res.dist[d.from] + d.metric);
     }
+    // The repair ran on the new view, so an inserted edge into the region
+    // (a metric cut on a removed tight edge) can leave region nodes *below*
+    // their old distance: seed that decrease past the region's edge too.
+    const std::vector<topo::NodeId> region = changed_list;
+    for (const topo::NodeId v : region) {
+      if (res.dist[v] >= kInfMetric) continue;
+      for (const NetworkView::Edge& e : new_view.edges_from(v)) {
+        improve(e.to, res.dist[v] + e.metric);
+      }
+    }
     while (!heap.empty()) {
       const auto [d, v] = heap.top();
       heap.pop();

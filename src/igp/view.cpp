@@ -7,6 +7,18 @@
 
 namespace fibbing::igp {
 
+namespace {
+
+/// The Subnet record of a transfer network claimed exactly twice.
+template <typename Claims>
+NetworkView::Subnet paired(const net::Prefix& prefix, const Claims& claims) {
+  const auto& a = claims[0];
+  const auto& b = claims[1];
+  return NetworkView::Subnet{prefix, a.origin, b.origin, a.metric, b.metric, a.addr, b.addr};
+}
+
+}  // namespace
+
 NetworkView NetworkView::from_topology(const topo::Topology& topo,
                                        std::vector<External> externals,
                                        const topo::LinkStateMask* link_state) {
@@ -43,24 +55,24 @@ NetworkView NetworkView::from_topology(const topo::Topology& topo,
 NetworkView NetworkView::from_lsdb(const Lsdb& lsdb, std::size_t node_count) {
   NetworkView view;
   view.adj_.resize(node_count);
-  // Collect both half-links of each subnet before emitting Subnet records.
-  struct Half {
-    topo::NodeId origin;
-    LsaLink link;
-  };
-  std::map<std::pair<std::uint32_t, std::uint8_t>, std::vector<Half>> halves;
-
-  for (const Lsa* lsa : lsdb.live()) {
+  const std::vector<const Lsa*> by_key = lsdb.live();
+  // Only use an adjacency if the neighbor's Router-LSA is also present
+  // (OSPF's two-way check).
+  std::vector<bool> present(node_count, false);
+  for (const Lsa* lsa : by_key) {
     if (const auto* router = std::get_if<RouterLsa>(&lsa->body)) {
       FIB_ASSERT(router->origin < node_count, "from_lsdb: origin out of range");
+      present[router->origin] = true;
+    }
+  }
+  // Collect every claim on each subnet before emitting Subnet records.
+  std::map<net::Prefix, std::vector<Half>>& claims = view.unpaired_;
+  for (const Lsa* lsa : by_key) {
+    if (const auto* router = std::get_if<RouterLsa>(&lsa->body)) {
       for (const LsaLink& link : router->links) {
-        // Only use an adjacency if the neighbor's Router-LSA is also present
-        // (OSPF's two-way check).
-        const Lsa* peer = lsdb.find(LsaKey{LsaType::kRouter, link.neighbor});
-        if (peer == nullptr) continue;
+        if (link.neighbor >= node_count || !present[link.neighbor]) continue;
         view.adj_[router->origin].push_back(Edge{link.neighbor, link.metric});
-        halves[{link.subnet.network().bits(), link.subnet.length()}].push_back(
-            Half{router->origin, link});
+        claims[link.subnet].push_back(Half{router->origin, link.metric, link.local_addr});
       }
       for (const LsaPrefix& pfx : router->prefixes) {
         view.attachments_.push_back(Attachment{pfx.prefix, router->origin, pfx.metric});
@@ -70,24 +82,164 @@ NetworkView NetworkView::from_lsdb(const Lsdb& lsdb, std::size_t node_count) {
           External{ext->lie_id, ext->prefix, ext->ext_metric, ext->forwarding_address});
     }
   }
-  for (const auto& [key, sides] : halves) {
-    if (sides.size() != 2) continue;  // half-configured adjacency: unusable
-    const Half& a = sides[0];
-    const Half& b = sides[1];
-    view.subnets_.push_back(Subnet{a.link.subnet, a.origin, b.origin, a.link.metric,
-                                   b.link.metric, a.link.local_addr,
-                                   b.link.local_addr});
+  for (auto it = claims.begin(); it != claims.end();) {
+    if (it->second.size() != 2) {  // half-configured adjacency: unusable
+      ++it;
+      continue;
+    }
+    view.subnets_.push_back(paired(it->first, it->second));
+    it = claims.erase(it);
   }
   view.index_subnet_addresses_();
   return view;
 }
 
+bool NetworkView::patch(const Lsdb& lsdb, const Lsa* before, const Lsa* after) {
+  FIB_ASSERT(before != nullptr || after != nullptr, "NetworkView::patch: no change");
+  const Lsa& changed = after != nullptr ? *after : *before;
+  if (std::holds_alternative<ExternalLsa>(changed.body)) {
+    const auto* ext = after != nullptr ? &std::get<ExternalLsa>(after->body) : nullptr;
+    patch_external_(changed.id.key, ext != nullptr && !ext->withdrawn ? ext : nullptr);
+    return true;
+  }
+  if (before == nullptr || after == nullptr || shared_address_) return false;
+  return patch_router_(lsdb, std::get<RouterLsa>(before->body),
+                       std::get<RouterLsa>(after->body));
+}
+
+void NetworkView::patch_external_(std::uint64_t key, const ExternalLsa* live) {
+  // from_lsdb lists live externals in LSDB key order, and a router's
+  // External-LSA keys are their link state ids.
+  const auto key_of = [](const External& e) -> std::uint64_t {
+    return external_ls_id(e.prefix, e.lie_id);
+  };
+  const auto it = std::lower_bound(
+      externals_.begin(), externals_.end(), key,
+      [&](const External& e, std::uint64_t k) { return key_of(e) < k; });
+  const bool held = it != externals_.end() && key_of(*it) == key;
+  if (live == nullptr) {
+    if (held) externals_.erase(it);
+    return;
+  }
+  FIB_ASSERT(external_ls_id(live->prefix, live->lie_id) == key,
+             "NetworkView::patch: external not keyed by its link state id");
+  const External ext{live->lie_id, live->prefix, live->ext_metric, live->forwarding_address};
+  if (held) {
+    *it = ext;
+  } else {
+    externals_.insert(it, ext);
+  }
+}
+
+bool NetworkView::patch_router_(const Lsdb& lsdb, const RouterLsa& before,
+                                const RouterLsa& after) {
+  const topo::NodeId origin = after.origin;
+  FIB_ASSERT(before.origin == origin && origin < adj_.size(),
+             "NetworkView::patch: origin mismatch");
+  // from_lsdb's two-way check: the neighbor's Router-LSA is present.
+  const auto counted = [&](const LsaLink& link) {
+    return lsdb.find(LsaKey{LsaType::kRouter, link.neighbor}) != nullptr;
+  };
+  std::vector<Edge>& out = adj_[origin];
+  out.clear();
+  for (const LsaLink& link : after.links) {
+    if (counted(link)) out.push_back(Edge{link.neighbor, link.metric});
+  }
+  // from_lsdb lists attachments by origin: this origin's form one run.
+  const auto first = std::lower_bound(
+      attachments_.begin(), attachments_.end(), origin,
+      [](const Attachment& att, topo::NodeId n) { return att.node < n; });
+  const auto last = std::find_if(first, attachments_.end(), [&](const Attachment& att) {
+    return att.node != origin;
+  });
+  std::vector<Attachment> mine;
+  for (const LsaPrefix& pfx : after.prefixes) {
+    mine.push_back(Attachment{pfx.prefix, origin, pfx.metric});
+  }
+  attachments_.insert(attachments_.erase(first, last), mine.begin(), mine.end());
+  // Re-pair every subnet the origin claimed before or claims now.
+  std::vector<net::Prefix> touched;
+  for (const RouterLsa* lsa : {&before, &after}) {
+    for (const LsaLink& link : lsa->links) {
+      if (counted(link)) touched.push_back(link.subnet);
+    }
+  }
+  std::sort(touched.begin(), touched.end());
+  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+  for (const net::Prefix& prefix : touched) {
+    std::vector<Half> claims;
+    for (const LsaLink& link : after.links) {
+      if (link.subnet == prefix && counted(link)) {
+        claims.push_back(Half{origin, link.metric, link.local_addr});
+      }
+    }
+    if (!repair_subnet_(prefix, origin, claims)) return false;
+  }
+  return true;
+}
+
+bool NetworkView::repair_subnet_(const net::Prefix& prefix, topo::NodeId origin,
+                                 const std::vector<Half>& mine) {
+  const auto record = std::lower_bound(
+      subnets_.begin(), subnets_.end(), prefix,
+      [](const Subnet& s, const net::Prefix& p) { return s.prefix < p; });
+  const bool was_paired = record != subnets_.end() && record->prefix == prefix;
+  const auto loose = unpaired_.find(prefix);
+  std::vector<Half> claims;
+  if (was_paired) {
+    claims = {Half{record->a, record->metric_ab, record->addr_a},
+              Half{record->b, record->metric_ba, record->addr_b}};
+  } else if (loose != unpaired_.end()) {
+    claims = std::move(loose->second);
+  }
+  // Swap in the origin's new claims where from_lsdb would list them: by
+  // origin, then link order.
+  std::erase_if(claims, [&](const Half& h) { return h.origin == origin; });
+  claims.insert(std::find_if(claims.begin(), claims.end(),
+                             [&](const Half& h) { return h.origin > origin; }),
+                mine.begin(), mine.end());
+
+  if (loose != unpaired_.end()) unpaired_.erase(loose);
+  if (was_paired && claims.size() == 2 && *record == paired(prefix, claims)) return true;
+  if (was_paired) {
+    fwd_index_.erase(record->addr_a);
+    fwd_index_.erase(record->addr_b);
+  }
+  const auto index = static_cast<std::uint32_t>(record - subnets_.begin());
+  if (claims.size() == 2) {
+    if (was_paired) {
+      *record = paired(prefix, claims);
+    } else {
+      subnets_.insert(record, paired(prefix, claims));
+      renumber_from_(index + 1);
+    }
+    return index_subnet_(index);
+  }
+  if (was_paired) {
+    subnets_.erase(record);
+    renumber_from_(index);
+  }
+  if (!claims.empty()) unpaired_.emplace(prefix, std::move(claims));
+  return true;
+}
+
 void NetworkView::index_subnet_addresses_() {
   fwd_index_.reserve(2 * subnets_.size());
-  for (std::uint32_t i = 0; i < subnets_.size(); ++i) {
-    const Subnet& subnet = subnets_[i];
-    fwd_index_.emplace(subnet.addr_a, std::pair{i, subnet.a});
-    fwd_index_.emplace(subnet.addr_b, std::pair{i, subnet.b});
+  for (std::uint32_t i = 0; i < subnets_.size(); ++i) index_subnet_(i);
+}
+
+bool NetworkView::index_subnet_(std::uint32_t i) {
+  const Subnet& subnet = subnets_[i];
+  const bool fresh_a = fwd_index_.emplace(subnet.addr_a, std::pair{i, subnet.a}).second;
+  const bool fresh_b = fwd_index_.emplace(subnet.addr_b, std::pair{i, subnet.b}).second;
+  if (!(fresh_a && fresh_b)) shared_address_ = true;
+  return fresh_a && fresh_b;
+}
+
+void NetworkView::renumber_from_(std::uint32_t first) {
+  for (std::uint32_t i = first; i < subnets_.size(); ++i) {
+    fwd_index_.at(subnets_[i].addr_a).first = i;
+    fwd_index_.at(subnets_[i].addr_b).first = i;
   }
 }
 

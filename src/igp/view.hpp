@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -23,6 +24,7 @@ class NetworkView {
   struct Edge {
     topo::NodeId to = topo::kInvalidNode;
     topo::Metric metric = 1;
+    friend bool operator==(const Edge&, const Edge&) = default;
   };
 
   /// A transfer network (/30) between two routers, used to resolve external
@@ -36,12 +38,14 @@ class NetworkView {
     topo::Metric metric_ba = 1;
     net::Ipv4 addr_a;  // a's interface address
     net::Ipv4 addr_b;  // b's interface address
+    friend bool operator==(const Subnet&, const Subnet&) = default;
   };
 
   struct Attachment {
     net::Prefix prefix;
     topo::NodeId node = topo::kInvalidNode;
     topo::Metric metric = 0;
+    friend bool operator==(const Attachment&, const Attachment&) = default;
   };
 
   /// One external route (a Fibbing lie, or any redistributed route).
@@ -50,6 +54,7 @@ class NetworkView {
     net::Prefix prefix;
     topo::Metric ext_metric = 0;
     net::Ipv4 forwarding_address;
+    friend bool operator==(const External&, const External&) = default;
   };
 
   /// Build the graph a converged IGP would compute on. When `link_state` is
@@ -62,6 +67,18 @@ class NetworkView {
                                    std::vector<External> externals = {},
                                    const topo::LinkStateMask* link_state = nullptr);
   static NetworkView from_lsdb(const Lsdb& lsdb, std::size_t node_count);
+
+  /// Patch a from_lsdb view in place for one change to that LSDB: instance
+  /// `before` (null: the key was absent) gave way to `after` (null: the
+  /// entry was erased). On true the view equals from_lsdb of the changed
+  /// LSDB again, field by field and in vector order. On false it is left
+  /// inconsistent and must be rebuilt with from_lsdb: the change adds or
+  /// removes a Router-LSA origin, which flips the two-way check of every
+  /// link naming it, or the view holds an interface address two subnets
+  /// share. `lsdb` only answers which origins are present, which a patch
+  /// never changes. External-LSAs must be keyed by external_ls_id, as every
+  /// one a router holds is.
+  [[nodiscard]] bool patch(const Lsdb& lsdb, const Lsa* before, const Lsa* after);
 
   [[nodiscard]] std::size_t node_count() const { return adj_.size(); }
   [[nodiscard]] const std::vector<Edge>& edges_from(topo::NodeId n) const;
@@ -88,8 +105,28 @@ class NetworkView {
 
   void add_external(const External& ext) { externals_.push_back(ext); }
 
+  friend bool operator==(const NetworkView&, const NetworkView&) = default;
+
  private:
+  /// One router's claim on a transfer subnet: a Router-LSA link whose
+  /// neighbor's Router-LSA is present.
+  struct Half {
+    topo::NodeId origin = topo::kInvalidNode;
+    topo::Metric metric = 1;
+    net::Ipv4 addr;
+    friend bool operator==(const Half&, const Half&) = default;
+  };
+
   void index_subnet_addresses_();
+  /// Map subnets_[i]'s two interface addresses; false when one is taken.
+  bool index_subnet_(std::uint32_t i);
+  /// Re-point the addresses of subnets_[first..] after an insert or erase.
+  void renumber_from_(std::uint32_t first);
+  void patch_external_(std::uint64_t key, const ExternalLsa* live);
+  bool patch_router_(const Lsdb& lsdb, const RouterLsa& before, const RouterLsa& after);
+  /// Replace `origin`'s claims on `prefix` with `mine` and re-pair it.
+  bool repair_subnet_(const net::Prefix& prefix, topo::NodeId origin,
+                      const std::vector<Half>& mine);
 
   std::vector<std::vector<Edge>> adj_;
   std::vector<Subnet> subnets_;
@@ -98,6 +135,14 @@ class NetworkView {
   /// interface address -> (index into subnets_, owning router). Indices, not
   /// pointers, so the default copy of a view stays self-contained.
   std::unordered_map<net::Ipv4, std::pair<std::uint32_t, topo::NodeId>> fwd_index_;
+  /// Some interface address belongs to two subnets (fwd_index_ keeps the
+  /// first): patch refuses rather than re-derive that tie-break.
+  bool shared_address_ = false;
+  /// from_lsdb views: the claims on each subnet without exactly two, by
+  /// origin then link order -- a link whose far end has not re-originated
+  /// yet, or a misconfiguration. They yield no Subnet, but patch needs them
+  /// to re-pair. Empty in a converged domain.
+  std::map<net::Prefix, std::vector<Half>> unpaired_;
 };
 
 }  // namespace fibbing::igp

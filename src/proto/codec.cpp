@@ -1,6 +1,8 @@
 #include "proto/codec.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 #include <string>
 
 #include "util/assert.hpp"
@@ -14,27 +16,6 @@ DecodeError err(DecodeErrorKind kind, std::string detail) {
 }
 
 // ---------------------------------------------------------- checksum helpers
-
-/// RFC 1071 ones'-complement sum over [begin, end), skipping [skip_begin,
-/// skip_end) -- the authentication field is excluded from the packet
-/// checksum (RFC 2328 D.4.1).
-std::uint16_t internet_checksum(const std::uint8_t* data, std::size_t size,
-                                std::size_t skip_begin, std::size_t skip_end,
-                                std::size_t zero_begin, std::size_t zero_end) {
-  std::uint32_t sum = 0;
-  for (std::size_t i = 0; i < size; i += 2) {
-    const auto byte_at = [&](std::size_t pos) -> std::uint32_t {
-      if (pos >= size) return 0;  // odd length: virtual zero pad
-      if (pos >= skip_begin && pos < skip_end) return 0;
-      if (pos >= zero_begin && pos < zero_end) return 0;
-      return data[pos];
-    };
-    if (i >= skip_begin && i < skip_end) continue;
-    sum += (byte_at(i) << 8) | byte_at(i + 1);
-  }
-  while (sum >> 16) sum = (sum & 0xffff) + (sum >> 16);
-  return static_cast<std::uint16_t>(~sum & 0xffff);
-}
 
 // ------------------------------------------------------------- LSA encoding
 
@@ -179,22 +160,92 @@ PacketType type_of(const Packet& packet) {
 std::uint16_t fletcher_checksum(const std::uint8_t* data, std::size_t size,
                                 std::size_t checksum_offset) {
   // RFC 905 Annex B, as applied by RFC 2328 12.1.7: the check bytes
-  // themselves count as zero.
-  std::int32_t c0 = 0;
-  std::int32_t c1 = 0;
-  for (std::size_t i = 0; i < size; ++i) {
-    const bool is_check_byte = i == checksum_offset || i == checksum_offset + 1;
-    c0 = (c0 + (is_check_byte ? 0 : data[i])) % 255;
-    c1 = (c1 + c0) % 255;
+  // themselves count as zero. Byte i adds itself to c0 and (size - i) times
+  // itself to c1, so the sums run over every byte and take the check bytes
+  // back out at the end. They are reduced mod 255 once per block, not per
+  // byte: a block this size cannot overflow 64 bits.
+  constexpr std::size_t kBlock = std::size_t{1} << 20;
+  std::uint64_t c0 = 0;
+  std::uint64_t c1 = 0;
+  for (std::size_t i = 0; i < size;) {
+    const std::size_t end = std::min(size, i + kBlock);
+    for (; i < end; ++i) {
+      c0 += data[i];
+      c1 += c0;
+    }
+    c0 %= 255;
+    c1 %= 255;
   }
+  for (std::size_t k = checksum_offset; k < size && k - checksum_offset < 2; ++k) {
+    c0 = (c0 + 255 - data[k] % 255) % 255;
+    c1 = (c1 + 255 - (size - k) % 255 * data[k] % 255) % 255;
+  }
+  const auto sum0 = static_cast<std::int32_t>(c0);
+  const auto sum1 = static_cast<std::int32_t>(c1);
   std::int32_t x = static_cast<std::int32_t>(
-                       (static_cast<std::int64_t>(size) - checksum_offset - 1) * c0 -
-                       c1) %
+                       (static_cast<std::int64_t>(size) - checksum_offset - 1) * sum0 -
+                       sum1) %
                    255;
   if (x <= 0) x += 255;
-  std::int32_t y = 510 - c0 - x;
+  std::int32_t y = 510 - sum0 - x;
   if (y > 255) y -= 255;
   return static_cast<std::uint16_t>((x << 8) | y);
+}
+
+std::uint16_t internet_checksum(const std::uint8_t* data, std::size_t size,
+                                std::size_t skip_begin, std::size_t skip_end,
+                                std::size_t zero_begin, std::size_t zero_end) {
+  // Sum the bytes at even offsets (the words' high halves) and odd offsets
+  // apart, eight at a time: each mask keeps four 16-bit lanes of one
+  // parity, and 256 loads of bytes <= 255 cannot overflow a lane.
+  constexpr std::uint64_t kLanes = 0x00ff00ff00ff00ffull;
+  const auto lane_sum = [](std::uint64_t lanes) {
+    return (lanes & 0xffff) + ((lanes >> 16) & 0xffff) + ((lanes >> 32) & 0xffff) +
+           (lanes >> 48);
+  };
+  std::uint64_t high = 0;
+  std::uint64_t low = 0;
+  std::size_t i = 0;
+  while (size - i >= 8) {
+    const std::size_t loads = std::min<std::size_t>((size - i) / 8, 256);
+    std::uint64_t first = 0;   // bytes 0, 2, 4, 6 of each load, in memory order
+    std::uint64_t second = 0;  // bytes 1, 3, 5, 7
+    for (std::size_t k = 0; k < loads; ++k, i += 8) {
+      std::uint64_t word = 0;
+      std::memcpy(&word, data + i, sizeof word);
+      if constexpr (std::endian::native == std::endian::little) {
+        first += word & kLanes;
+        second += (word >> 8) & kLanes;
+      } else {
+        first += (word >> 8) & kLanes;
+        second += word & kLanes;
+      }
+    }
+    high += lane_sum(first);
+    low += lane_sum(second);
+  }
+  for (; i < size; ++i) (i % 2 == 0 ? high : low) += data[i];  // odd tail: zero pad
+  // Take back out what the checksum excludes: the skipped range -- whole
+  // words, so an odd skip end drops the byte after it too -- and the
+  // zeroed range.
+  const auto skipped = [&](std::size_t p) {
+    return (p >= skip_begin && p < skip_end) ||
+           (p == skip_end && p % 2 == 1 && skip_begin < skip_end);
+  };
+  std::uint64_t excluded = 0;
+  const auto exclude = [&](std::size_t p) {
+    excluded += p % 2 == 0 ? std::uint64_t{data[p]} << 8 : data[p];
+  };
+  for (std::size_t p = skip_begin; p < size && (p < skip_end || skipped(p)); ++p) {
+    exclude(p);
+  }
+  for (std::size_t p = zero_begin; p < size && p < zero_end; ++p) {
+    if (!skipped(p)) exclude(p);
+  }
+  // The words are summed in 32 bits before folding, carries wrapping.
+  std::uint32_t sum = static_cast<std::uint32_t>((high << 8) + low - excluded);
+  while (sum >> 16) sum = (sum & 0xffff) + (sum >> 16);
+  return static_cast<std::uint16_t>(~sum & 0xffff);
 }
 
 Buffer encode_lsa(const WireLsa& lsa) {

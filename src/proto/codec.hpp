@@ -242,6 +242,15 @@ struct Packet {
                                               std::size_t size,
                                               std::size_t checksum_offset);
 
+/// RFC 1071 ones'-complement checksum of `data`'s big-endian 16-bit words
+/// (an odd length pads a zero byte). Bytes in [skip_begin, skip_end) and
+/// [zero_begin, zero_end) count as zero, and a word starting in the skip
+/// range is dropped whole: RFC 2328 D.4.1 excludes the authentication field
+/// and zeroes the checksum field itself.
+[[nodiscard]] std::uint16_t internet_checksum(const std::uint8_t* data, std::size_t size,
+                                              std::size_t skip_begin, std::size_t skip_end,
+                                              std::size_t zero_begin, std::size_t zero_end);
+
 // --------------------------------------------------- instance ordering rules
 
 /// RFC 2328 13.1: which instance is newer. Returns >0 when `a` is newer than

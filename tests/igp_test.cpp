@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
+#include <set>
+#include <string>
 #include <utility>
 
 #include "igp/domain.hpp"
@@ -671,6 +674,282 @@ TEST(Domain, RestoreHealsPartitionThroughDatabaseExchange) {
   EXPECT_TRUE(domain.table(p.a).at(p.p1).reachable());
   EXPECT_EQ(named_hops(p.topo, domain.table(p.b).at(p.p1)),
             (std::map<std::string, std::uint32_t>{{"R2", 1}, {"R3", 1}}));
+}
+
+
+// ---------------------------------------------------------- in-place view
+
+/// Random LSDB churn over a small Waxman domain, one change per step, of
+/// every kind a router's LSDB sees: a Router-LSA's first appearance or
+/// replacement (link drop, link restore, a stray claim on another pair's
+/// subnet, metric or interface-address change, prefix change), an
+/// External-LSA inject or withdrawal, and erases (withdrawn externals;
+/// Router-LSAs on request).
+class LsdbChurn {
+ public:
+  enum class Op { kRouterFirst, kRouterReplace, kExternal, kErase };
+  struct Step {
+    Op op;
+    Lsa lsa;  ///< kErase: only `lsa.id` is meaningful
+  };
+
+  LsdbChurn(std::uint64_t seed, std::size_t nodes)
+      : rng_(seed), topo_(topo::make_waxman(nodes, rng_)), routers_(nodes) {
+    for (NodeId n = 0; n < nodes; ++n) {
+      topo_.attach_prefix(n, net::Prefix(net::Ipv4(172, 16, static_cast<std::uint8_t>(n), 0), 24));
+    }
+  }
+
+  [[nodiscard]] const topo::Topology& topo() const { return topo_; }
+
+  Step next(bool router_erase) {
+    std::vector<NodeId> absent;
+    std::vector<NodeId> present;
+    for (NodeId n = 0; n < routers_.size(); ++n) {
+      (routers_[n] ? present : absent).push_back(n);
+    }
+    const std::int64_t roll = rng_.uniform_int(0, 99);
+    if (!absent.empty() && (present.size() < 2 || roll < 8)) {
+      const NodeId origin = absent[rng_.pick_index(absent.size())];
+      routers_[origin] = std::get<RouterLsa>(make_router_lsa(topo_, origin).body);
+      return router_step(Op::kRouterFirst, origin);
+    }
+    if (roll < 60) {
+      const NodeId origin = present[rng_.pick_index(present.size())];
+      mutate(*routers_[origin]);
+      return router_step(Op::kRouterReplace, origin);
+    }
+    if (roll < 92 || withdrawn_.empty()) return external_step();
+    if (router_erase && roll >= 98) {
+      const NodeId origin = present[rng_.pick_index(present.size())];
+      routers_[origin].reset();
+      return erase_step(LsaKey{LsaType::kRouter, origin});
+    }
+    const auto it = std::next(withdrawn_.begin(),
+                              static_cast<std::ptrdiff_t>(rng_.pick_index(withdrawn_.size())));
+    const LsaKey key{LsaType::kExternal, *it};
+    withdrawn_.erase(it);
+    return erase_step(key);
+  }
+
+ private:
+  static Step erase_step(const LsaKey& key) {
+    Step step{Op::kErase, Lsa{}};
+    step.lsa.id = key;
+    return step;
+  }
+
+  Step router_step(Op op, NodeId origin) {
+    Lsa lsa;
+    lsa.id = LsaKey{LsaType::kRouter, origin};
+    lsa.seq = ++seq_[lsa.id];
+    lsa.body = *routers_[origin];
+    return Step{op, std::move(lsa)};
+  }
+
+  void mutate(RouterLsa& router) {
+    const auto pick = [&](const auto& v) { return rng_.pick_index(v.size()); };
+    const std::int64_t kind = rng_.uniform_int(0, 19);
+    if (kind < 5) {  // link drop (an interface failure, or a stray withdrawn)
+      if (!router.links.empty()) {
+        router.links.erase(router.links.begin() +
+                           static_cast<std::ptrdiff_t>(pick(router.links)));
+      }
+      return;
+    }
+    switch (kind < 11 ? 1 : kind < 13 ? 2 : kind < 17 ? 3 : 4) {
+      case 1:  // link restore: a topology link the LSA no longer lists
+        for (const topo::LinkId lid : topo_.out_links(router.origin)) {
+          const topo::Link& link = topo_.link(lid);
+          const bool listed = std::any_of(
+              router.links.begin(), router.links.end(),
+              [&](const LsaLink& l) { return l.neighbor == link.to; });
+          if (listed) continue;
+          router.links.push_back(LsaLink{link.to, link.metric, link.subnet, link.local_addr});
+          break;
+        }
+        break;
+      case 2: {  // a stray claim: some other link's subnet, a fresh address
+        const topo::Link& other = topo_.link(static_cast<topo::LinkId>(
+            rng_.pick_index(topo_.link_count())));
+        router.links.push_back(LsaLink{
+            static_cast<NodeId>(rng_.pick_index(routers_.size())),
+            static_cast<topo::Metric>(rng_.uniform_int(1, 9)), other.subnet,
+            fresh_address()});
+        break;
+      }
+      case 3:  // metric change, now and then a re-addressed interface
+        if (!router.links.empty()) {
+          LsaLink& link = router.links[pick(router.links)];
+          if (rng_.uniform_int(0, 3) == 0) {
+            link.local_addr = fresh_address();
+          } else {
+            link.metric = static_cast<topo::Metric>(rng_.uniform_int(1, 9));
+          }
+        }
+        break;
+      default: {  // prefix change: toggle one of a few stub prefixes
+        const net::Prefix pfx(
+            net::Ipv4(198, 51, static_cast<std::uint8_t>(rng_.uniform_int(0, 3)), 0), 24);
+        const auto it = std::find_if(router.prefixes.begin(), router.prefixes.end(),
+                                     [&](const LsaPrefix& p) { return p.prefix == pfx; });
+        if (it != router.prefixes.end()) {
+          router.prefixes.erase(it);
+        } else {
+          router.prefixes.push_back(
+              LsaPrefix{pfx, static_cast<topo::Metric>(rng_.uniform_int(0, 3))});
+        }
+        break;
+      }
+    }
+  }
+
+  net::Ipv4 fresh_address() {
+    ++fresh_;
+    return net::Ipv4(10, 250, static_cast<std::uint8_t>(fresh_ >> 8),
+                     static_cast<std::uint8_t>(fresh_));
+  }
+
+  Step external_step() {
+    ExternalLsa ext;
+    const std::vector<std::uint64_t> live(live_.begin(), live_.end());
+    if (!live.empty() && rng_.uniform_int(0, 2) == 0) {  // withdraw a live lie
+      const std::uint64_t key = live[rng_.pick_index(live.size())];
+      ext = lies_.at(key);
+      ext.withdrawn = true;
+      live_.erase(key);
+      withdrawn_.insert(key);
+    } else {  // inject or replace a lie for one of three prefixes
+      ext.prefix = net::Prefix(
+          net::Ipv4(203, 0, static_cast<std::uint8_t>(113 + rng_.uniform_int(0, 2)), 0), 24);
+      ext.lie_id = external_ls_id(ext.prefix, static_cast<std::uint64_t>(rng_.uniform_int(1, 3)));
+      ext.ext_metric = static_cast<topo::Metric>(rng_.uniform_int(0, 4));
+      ext.forwarding_address =
+          rng_.uniform_int(0, 9) == 0
+              ? net::Ipv4(192, 0, 2, 1)  // dangling
+              : topo_.link(static_cast<topo::LinkId>(rng_.pick_index(topo_.link_count())))
+                    .local_addr;
+      live_.insert(ext.lie_id);
+      withdrawn_.erase(ext.lie_id);
+    }
+    lies_[ext.lie_id] = ext;
+    Lsa lsa = make_external_lsa(ext);
+    lsa.seq = ++seq_[lsa.id];
+    return Step{Op::kExternal, std::move(lsa)};
+  }
+
+  util::Rng rng_;
+  topo::Topology topo_;
+  std::vector<std::optional<RouterLsa>> routers_;
+  std::map<LsaKey, SeqNum> seq_;
+  std::map<std::uint64_t, ExternalLsa> lies_;
+  std::set<std::uint64_t> live_;
+  std::set<std::uint64_t> withdrawn_;
+  std::uint32_t fresh_ = 0;
+};
+
+TEST(ViewPatch, EqualsRebuildAfterEveryLsdbChange) {
+  // The in-place view's oracle: after every install and erase, the patched
+  // view equals from_lsdb of the same LSDB field by field -- adjacency,
+  // subnets, attachments and externals in vector order, the forwarding
+  // index, and the claims of unpaired subnets. Only a change of the set of
+  // Router-LSA origins may refuse the patch.
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    LsdbChurn churn(seed, 14);
+    const std::size_t n = churn.topo().node_count();
+    Lsdb lsdb;
+    NetworkView view = NetworkView::from_lsdb(lsdb, n);
+    std::size_t refused = 0;
+    for (int step = 0; step < 800; ++step) {
+      const LsdbChurn::Step next = churn.next(/*router_erase=*/true);
+      bool patched = false;
+      if (next.op == LsdbChurn::Op::kErase) {
+        patched = view.patch(lsdb, lsdb.find(next.lsa.id), nullptr);
+        ASSERT_TRUE(lsdb.erase(next.lsa.id));
+      } else {
+        const LsaPtr lsa = std::make_shared<const Lsa>(next.lsa);
+        LsaPtr replaced;
+        ASSERT_EQ(lsdb.install(lsa, &replaced), Lsdb::InstallResult::kNewer);
+        patched = view.patch(lsdb, replaced.get(), lsa.get());
+      }
+      const bool origins_changed = next.op == LsdbChurn::Op::kRouterFirst ||
+                                   (next.op == LsdbChurn::Op::kErase &&
+                                    next.lsa.id.type == LsaType::kRouter);
+      ASSERT_EQ(patched, !origins_changed) << "step " << step;
+      const NetworkView rebuilt = NetworkView::from_lsdb(lsdb, n);
+      if (!patched) {
+        ++refused;
+        view = rebuilt;
+        continue;
+      }
+      ASSERT_TRUE(view == rebuilt) << "step " << step << ": " << to_string(next.lsa);
+    }
+    EXPECT_LT(refused, 100u);
+  }
+}
+
+TEST(RouterProcess, TablesEqualFreshComputeUnderRandomLsdbChurn) {
+  // The same churn through a router's own install, flush and SPF paths, in
+  // hold-down windows of one to three changes: after every SPF run the
+  // table equals a fresh computation over the router's LSDB.
+  for (const std::uint64_t seed : {6u, 7u, 8u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    LsdbChurn churn(seed, 14);
+    const topo::Topology& t = churn.topo();
+    const proto::AddressMap addrs(t);
+    util::EventQueue events;
+    RouterProcess router(0, t.node_count(), addrs, events, IgpTiming{});
+    for (int window = 0; window < 240; ++window) {
+      for (int k = 0; k <= window % 3; ++k) {
+        LsdbChurn::Step next = churn.next(/*router_erase=*/false);
+        // A router flushes its own withdrawals: nothing to erase by hand.
+        if (next.op != LsdbChurn::Op::kErase) router.originate(std::move(next.lsa));
+      }
+      events.run_until(events.now() + 1.0);
+      const NetworkView fresh = NetworkView::from_lsdb(router.lsdb(), t.node_count());
+      ASSERT_EQ(router.table(), compute_routes(fresh, run_spf(fresh, 0)))
+          << "window " << window;
+    }
+    EXPECT_GT(router.tombstones_flushed(), 0u);
+    EXPECT_GT(router.spf_incremental_runs(), 0u);
+    EXPECT_LT(router.view_rebuilds(), router.spf_runs() / 2);
+  }
+}
+
+TEST(Domain, LinkFlipPatchesEveryViewWithoutRebuilding) {
+  util::Rng rng(60);
+  topo::Topology t = topo::make_waxman(60, rng, 0.25, 0.25, 10);
+  t.attach_prefix(0, net::Prefix(net::Ipv4(203, 0, 113, 0), 24), 0);
+  util::EventQueue events;
+  IgpDomain domain(t, events);
+  domain.start();
+  domain.run_to_convergence();
+  const std::uint64_t boot_rebuilds = domain.total_view_rebuilds();
+  const std::uint64_t boot_incremental = domain.total_spf_incremental_runs();
+  EXPECT_GT(boot_rebuilds, 0u);
+
+  topo::LinkId flipped = topo::kInvalidLink;
+  for (topo::LinkId l = 0; l < t.link_count() && flipped == topo::kInvalidLink; ++l) {
+    if (t.out_links(t.link(l).from).size() >= 3 && t.out_links(t.link(l).to).size() >= 3) {
+      flipped = l;
+    }
+  }
+  ASSERT_NE(flipped, topo::kInvalidLink);
+  const auto expect_fresh_tables = [&] {
+    for (NodeId n = 0; n < t.node_count(); ++n) {
+      const NetworkView fresh = NetworkView::from_lsdb(domain.router(n).lsdb(), t.node_count());
+      ASSERT_EQ(domain.table(n), compute_routes(fresh, n)) << "router " << n;
+    }
+  };
+  domain.fail_link(flipped);
+  domain.run_to_convergence();
+  expect_fresh_tables();
+  domain.restore_link(flipped);
+  domain.run_to_convergence();
+  expect_fresh_tables();
+  EXPECT_EQ(domain.total_view_rebuilds(), boot_rebuilds);
+  EXPECT_GT(domain.total_spf_incremental_runs(), boot_incremental);
 }
 
 }  // namespace

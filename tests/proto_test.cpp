@@ -359,6 +359,140 @@ TEST(CodecFuzz, RandomGarbageNeverCrashes) {
   }
 }
 
+// ------------------------------------------------------- checksum oracles
+
+/// The byte-at-a-time checksums the fast paths in codec.cpp replaced, kept
+/// verbatim as their oracles.
+std::uint16_t oracle_fletcher(const std::uint8_t* data, std::size_t size,
+                              std::size_t checksum_offset) {
+  std::int32_t c0 = 0;
+  std::int32_t c1 = 0;
+  for (std::size_t i = 0; i < size; ++i) {
+    const bool is_check_byte = i == checksum_offset || i == checksum_offset + 1;
+    c0 = (c0 + (is_check_byte ? 0 : data[i])) % 255;
+    c1 = (c1 + c0) % 255;
+  }
+  std::int32_t x = static_cast<std::int32_t>(
+                       (static_cast<std::int64_t>(size) - checksum_offset - 1) * c0 -
+                       c1) %
+                   255;
+  if (x <= 0) x += 255;
+  std::int32_t y = 510 - c0 - x;
+  if (y > 255) y -= 255;
+  return static_cast<std::uint16_t>((x << 8) | y);
+}
+
+std::uint16_t oracle_internet_checksum(const std::uint8_t* data, std::size_t size,
+                                       std::size_t skip_begin, std::size_t skip_end,
+                                       std::size_t zero_begin, std::size_t zero_end) {
+  std::uint32_t sum = 0;
+  for (std::size_t i = 0; i < size; i += 2) {
+    const auto byte_at = [&](std::size_t pos) -> std::uint32_t {
+      if (pos >= size) return 0;  // odd length: virtual zero pad
+      if (pos >= skip_begin && pos < skip_end) return 0;
+      if (pos >= zero_begin && pos < zero_end) return 0;
+      return data[pos];
+    };
+    if (i >= skip_begin && i < skip_end) continue;
+    sum += (byte_at(i) << 8) | byte_at(i + 1);
+  }
+  while (sum >> 16) sum = (sum & 0xffff) + (sum >> 16);
+  return static_cast<std::uint16_t>(~sum & 0xffff);
+}
+
+Buffer random_bytes(util::Rng& rng, std::size_t size) {
+  Buffer bytes(size);
+  for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+  return bytes;
+}
+
+TEST(Checksum, FletcherMatchesByteLoopAtEveryCheckByteOffset) {
+  util::Rng rng(905);
+  std::vector<Buffer> buffers;
+  for (std::size_t size = 0; size <= 80; ++size) buffers.push_back(random_bytes(rng, size));
+  for (int k = 0; k < 20; ++k) {
+    buffers.push_back(random_bytes(rng, static_cast<std::size_t>(rng.uniform_int(81, 1500))));
+  }
+  const auto agree = [](const Buffer& bytes, std::size_t offset) {
+    ASSERT_EQ(fletcher_checksum(bytes.data(), bytes.size(), offset),
+              oracle_fletcher(bytes.data(), bytes.size(), offset))
+        << "size " << bytes.size() << " offset " << offset;
+  };
+  for (const Buffer& bytes : buffers) {
+    for (std::size_t offset = 0; offset <= bytes.size() + 2; ++offset) agree(bytes, offset);
+  }
+  // Larger sums than any LSA reaches, at the edges and the LSA offset.
+  const Buffer ones(70001, 0xff);
+  for (const std::size_t offset : {0u, 1u, 14u, 70000u, 70001u, 70003u}) agree(ones, offset);
+}
+
+TEST(Checksum, InternetChecksumMatchesByteLoopOverEverySkipAndZeroRange) {
+  util::Rng rng(1071);
+  // Every skip and zero range (empty, inverted and past-the-end ones too)
+  // over short buffers of both parities...
+  for (std::size_t size = 0; size <= 13; ++size) {
+    const Buffer bytes = random_bytes(rng, size);
+    const std::size_t bound = size + 2;
+    for (std::size_t sb = 0; sb <= bound; ++sb) {
+      for (std::size_t se = 0; se <= bound; ++se) {
+        for (std::size_t zb = 0; zb <= bound; ++zb) {
+          for (std::size_t ze = 0; ze <= bound; ++ze) {
+            ASSERT_EQ(internet_checksum(bytes.data(), size, sb, se, zb, ze),
+                      oracle_internet_checksum(bytes.data(), size, sb, se, zb, ze))
+                << "size " << size << " skip [" << sb << ", " << se << ") zero [" << zb
+                << ", " << ze << ")";
+          }
+        }
+      }
+    }
+  }
+  // ...then random ranges over long ones, past the 32-bit wrap of the sum.
+  std::vector<Buffer> buffers;
+  for (int k = 0; k < 40; ++k) {
+    buffers.push_back(random_bytes(rng, static_cast<std::size_t>(rng.uniform_int(14, 5000))));
+  }
+  buffers.push_back(Buffer(140001, 0xff));
+  for (const Buffer& bytes : buffers) {
+    for (int k = 0; k < 50; ++k) {
+      const auto at = [&] {
+        return static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(bytes.size()) + 1));
+      };
+      const std::size_t sb = at();
+      const std::size_t se = at();
+      const std::size_t zb = at();
+      const std::size_t ze = at();
+      ASSERT_EQ(internet_checksum(bytes.data(), bytes.size(), sb, se, zb, ze),
+                oracle_internet_checksum(bytes.data(), bytes.size(), sb, se, zb, ze))
+          << "size " << bytes.size() << " skip [" << sb << ", " << se << ") zero [" << zb
+          << ", " << ze << ")";
+    }
+  }
+}
+
+TEST(CodecFuzz, ChecksumsMatchByteLoopOverTheCorpus) {
+  // The fuzz corpus's packets and the LSAs they carry, checksummed exactly
+  // as encode_packet / decode_packet and finalize_lsa / lsa_checksum_ok do.
+  for (const std::uint64_t seed : {20260731u, 42u, 1337u}) {
+    util::Rng rng(seed);
+    for (int trial = 0; trial < 300; ++trial) {
+      const Packet packet = random_packet(rng);
+      const Buffer bytes = encode_packet(packet);
+      ASSERT_EQ(internet_checksum(bytes.data(), bytes.size(), 16, 24, 12, 14),
+                oracle_internet_checksum(bytes.data(), bytes.size(), 16, 24, 12, 14))
+          << "seed " << seed << " trial " << trial;
+      const auto* lsu = std::get_if<LsUpdateBody>(&packet.body);
+      if (lsu == nullptr) continue;
+      for (const WireLsa& lsa : lsu->lsas) {
+        const Buffer lsa_bytes = encode_lsa(lsa);
+        ASSERT_EQ(fletcher_checksum(lsa_bytes.data() + 2, lsa_bytes.size() - 2, 14),
+                  oracle_fletcher(lsa_bytes.data() + 2, lsa_bytes.size() - 2, 14))
+            << "seed " << seed << " trial " << trial;
+      }
+    }
+  }
+}
+
 // --------------------------------------------------------------- session FSM
 
 using support::FakeDb;

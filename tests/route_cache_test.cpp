@@ -251,5 +251,42 @@ TEST_P(SpfUpdateProperty, RemovalAndInsertionMatchFreshEverywhere) {
 INSTANTIATE_TEST_SUITE_P(Seeds, SpfUpdateProperty,
                          ::testing::Range<std::uint64_t>(1, 7));
 
+TEST(SpfUpdate, MetricCutOnATightEdgeLowersNodesBeyondTheRepairedRegion) {
+  // A->B's metric drops from 6 to 3: one removed tight edge plus one
+  // inserted edge, in one batch. B and C lose their only tight parent and
+  // form the repaired region; D keeps a tight parent through E, so it is
+  // outside it, yet its distance falls with C's (9 -> 6).
+  const auto build = [](topo::Metric ab) {
+    topo::Topology t;
+    const topo::NodeId s = t.add_node("S");
+    const topo::NodeId a = t.add_node("A");
+    const topo::NodeId b = t.add_node("B");
+    const topo::NodeId c = t.add_node("C");
+    const topo::NodeId d = t.add_node("D");
+    const topo::NodeId e = t.add_node("E");
+    t.add_link_asymmetric(s, a, 1, 50, 1e9);
+    t.add_link_asymmetric(a, b, ab, 50, 1e9);
+    t.add_link_asymmetric(b, c, 1, 50, 1e9);
+    t.add_link_asymmetric(c, d, 1, 50, 1e9);
+    t.add_link_asymmetric(s, e, 4, 50, 1e9);
+    t.add_link_asymmetric(e, d, 5, 50, 1e9);
+    return t;
+  };
+  const topo::Topology before_topo = build(6);
+  const topo::Topology after_topo = build(3);
+  const NetworkView before = NetworkView::from_topology(before_topo);
+  const NetworkView after = NetworkView::from_topology(after_topo);
+  const igp::SpfResult old = igp::run_spf(before, 0);
+  ASSERT_EQ(old.dist[4], 9u);
+  const igp::SpfUpdate update = igp::update_spf(
+      after, old, {igp::EdgeDelta{1, 2, 6, /*removed=*/true},
+                   igp::EdgeDelta{1, 2, 3, /*removed=*/false}});
+  ASSERT_EQ(update.mode, igp::SpfUpdate::Mode::kIncremental);
+  const igp::SpfResult fresh = igp::run_spf(after, 0);
+  EXPECT_EQ(fresh.dist[4], 6u);
+  EXPECT_EQ(update.result.dist, fresh.dist);
+  EXPECT_EQ(update.result.first_hops, fresh.first_hops);
+}
+
 }  // namespace
 }  // namespace fibbing

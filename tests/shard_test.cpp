@@ -54,6 +54,8 @@ struct ChurnRun {
   std::unique_ptr<IgpDomain> domain;
   std::uint64_t lsas_sent = 0;
   std::uint64_t spf_runs = 0;
+  std::uint64_t spf_incremental_runs = 0;
+  std::uint64_t view_rebuilds = 0;
   proto::SessionCounters proto_counters;
   proto::ControllerSession::Counters southbound;
 };
@@ -92,6 +94,8 @@ ChurnRun run_churn_script(const topo::Topology& t, std::size_t shards) {
 
   run.lsas_sent = domain.total_lsas_sent();
   run.spf_runs = domain.total_spf_runs();
+  run.spf_incremental_runs = domain.total_spf_incremental_runs();
+  run.view_rebuilds = domain.total_view_rebuilds();
   run.proto_counters = domain.total_proto_counters();
   run.southbound = domain.controller_session(2).counters();
   return run;
@@ -123,6 +127,8 @@ TEST(ShardDeterminism, BitIdenticalToSingleThreadedAcrossSeedsAndShardCounts) {
       // run happened identically, not merely equivalently.
       EXPECT_EQ(ref.lsas_sent, got.lsas_sent);
       EXPECT_EQ(ref.spf_runs, got.spf_runs);
+      EXPECT_EQ(ref.spf_incremental_runs, got.spf_incremental_runs);
+      EXPECT_EQ(ref.view_rebuilds, got.view_rebuilds);
       EXPECT_EQ(ref.proto_counters, got.proto_counters);
       EXPECT_EQ(ref.southbound, got.southbound);
     }
@@ -150,6 +156,8 @@ struct LivenessRun {
   std::vector<std::pair<LinkId, bool>> transitions;
   std::uint64_t lsas_sent = 0;
   std::uint64_t spf_runs = 0;
+  std::uint64_t spf_incremental_runs = 0;
+  std::uint64_t view_rebuilds = 0;
   proto::SessionCounters proto_counters;
 };
 
@@ -185,6 +193,8 @@ LivenessRun run_liveness_script(const topo::Topology& t, std::size_t shards) {
 
   run.lsas_sent = domain.total_lsas_sent();
   run.spf_runs = domain.total_spf_runs();
+  run.spf_incremental_runs = domain.total_spf_incremental_runs();
+  run.view_rebuilds = domain.total_view_rebuilds();
   run.proto_counters = domain.total_proto_counters();
   return run;
 }
@@ -208,6 +218,8 @@ TEST(ShardDeterminism, TimerDrivenTeardownBitIdenticalAcrossShardCounts) {
     }
     EXPECT_EQ(ref.lsas_sent, got.lsas_sent);
     EXPECT_EQ(ref.spf_runs, got.spf_runs);
+    EXPECT_EQ(ref.spf_incremental_runs, got.spf_incremental_runs);
+    EXPECT_EQ(ref.view_rebuilds, got.view_rebuilds);
     EXPECT_EQ(ref.proto_counters, got.proto_counters);
   }
 }
