@@ -91,23 +91,22 @@ CompileResult compile_lies(const topo::Topology& topo,
   const auto subnet_route = [&](topo::NodeId u, topo::NodeId via) -> SubnetCost {
     const topo::LinkId l = topo.link_between(u, via);
     FIB_ASSERT(l != topo::kInvalidLink, "compile: non-adjacent (validated before)");
-    const net::Prefix& subnet = topo.link(l).subnet;
-    for (const auto& s : view.subnets()) {
-      if (s.prefix != subnet) continue;
-      const igp::SubnetRoute route = igp::route_to_subnet(view, spf_at(u), s);
-      if (route.first_hops != std::vector<topo::NodeId>{via}) {
-        return SubnetCost{CompileErrorKind::kWrongInterface,
-                          "lie at " + node_name(topo, u) + " toward " +
-                              node_name(topo, via) +
-                              " would not steer out of the intended interface "
-                              "(shorter detour to the transfer subnet exists)"};
-      }
-      return SubnetCost{route.cost};
+    const igp::NetworkView::Subnet* s = view.subnet(topo.link(l).subnet);
+    if (s == nullptr) {
+      return SubnetCost{CompileErrorKind::kUnreachable,
+                        "transfer subnet of " + node_name(topo, u) + "<->" +
+                            node_name(topo, via) +
+                            " not in the (degraded) view; lie cannot steer there"};
     }
-    return SubnetCost{CompileErrorKind::kUnreachable,
-                      "transfer subnet of " + node_name(topo, u) + "<->" +
-                          node_name(topo, via) +
-                          " not in the (degraded) view; lie cannot steer there"};
+    const igp::SubnetRoute route = igp::route_to_subnet(view, spf_at(u), *s);
+    if (route.first_hops != std::vector<topo::NodeId>{via}) {
+      return SubnetCost{CompileErrorKind::kWrongInterface,
+                        "lie at " + node_name(topo, u) + " toward " +
+                            node_name(topo, via) +
+                            " would not steer out of the intended interface "
+                            "(shorter detour to the transfer subnet exists)"};
+    }
+    return SubnetCost{route.cost};
   };
 
   // The plan starts from the requirement; repair rounds add pins and

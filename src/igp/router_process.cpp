@@ -133,23 +133,21 @@ void RouterProcess::originate(Lsa lsa) {
   LsaPtr replaced;
   if (lsdb_.install(stored, &replaced) != Lsdb::InstallResult::kNewer) return;
   patch_view_(replaced.get(), stored.get());
-  const proto::WireLsa& wire = stored->wire;
-  index_tombstone_(wire.header);
-  flood_(wire, /*except_router_id=*/addrs_->router_id(self_));
+  const proto::LsaHeader& header = stored->wire.header;
+  index_tombstone_(header);
+  flood_(proto::identity_of(header), /*except_router_id=*/addrs_->router_id(self_));
   schedule_spf_();
-  if (wire.header.age == proto::kMaxAge) {
-    maybe_flush_tombstone_(proto::identity_of(wire.header));
-  }
+  if (header.age == proto::kMaxAge) maybe_flush_tombstone_(proto::identity_of(header));
 }
 
-void RouterProcess::flood_(const proto::WireLsa& lsa,
+void RouterProcess::flood_(const proto::LsaIdentity& id,
                            std::uint32_t except_router_id) {
   // Each session coalesces floods landing within its batching window into
   // one LS Update (RFC 13.5), so per-session queuing replaced the old
   // shared-buffer encode: batch composition differs per neighbor.
   for (auto& [peer, session] : sessions_) {
     if (session->peer_id() == except_router_id) continue;
-    session->flood(lsa);  // no-op below Exchange: DD sync covers those
+    session->flood(id);  // no-op below Exchange: DD sync covers those
   }
 }
 
@@ -244,7 +242,7 @@ proto::DatabaseFacade::DeliverResult RouterProcess::deliver(
     case Lsdb::InstallResult::kNewer:
       patch_view_(replaced.get(), installed.get());
       index_tombstone_(lsa.header);
-      flood_(lsa, from_router_id);
+      flood_(proto::identity_of(lsa.header), from_router_id);
       schedule_spf_();
       if (tracer_ != nullptr && tracer_->enabled() &&
           lsa.header.type == proto::WireLsaType::kExternal &&

@@ -174,7 +174,7 @@ class RouterProcess final : private proto::DatabaseFacade {
                         std::uint32_t from_router_id) override;
   void on_flood_acked(const proto::LsaIdentity& id) override;
 
-  void flood_(const proto::WireLsa& lsa, std::uint32_t except_router_id);
+  void flood_(const proto::LsaIdentity& id, std::uint32_t except_router_id);
   /// Keep tombstones_ in step with a newly installed instance.
   void index_tombstone_(const proto::LsaHeader& header);
   void on_session_event_(topo::NodeId peer, proto::SessionEvent event);

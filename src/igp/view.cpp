@@ -1,6 +1,7 @@
 #include "igp/view.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <map>
 
 #include "util/assert.hpp"
@@ -47,8 +48,8 @@ NetworkView NetworkView::from_topology(const topo::Topology& topo,
   for (const auto& att : topo.prefixes()) {
     view.attachments_.push_back(Attachment{att.prefix, att.node, att.metric});
   }
+  std::ranges::sort(view.subnets_, {}, &Subnet::prefix);
   view.externals_ = std::move(externals);
-  view.index_subnet_addresses_();
   return view;
 }
 
@@ -90,7 +91,6 @@ NetworkView NetworkView::from_lsdb(const Lsdb& lsdb, std::size_t node_count) {
     view.subnets_.push_back(paired(it->first, it->second));
     it = claims.erase(it);
   }
-  view.index_subnet_addresses_();
   return view;
 }
 
@@ -102,9 +102,10 @@ bool NetworkView::patch(const Lsdb& lsdb, const Lsa* before, const Lsa* after) {
     patch_external_(changed.id.key, ext != nullptr && !ext->withdrawn ? ext : nullptr);
     return true;
   }
-  if (before == nullptr || after == nullptr || shared_address_) return false;
-  return patch_router_(lsdb, std::get<RouterLsa>(before->body),
-                       std::get<RouterLsa>(after->body));
+  if (before == nullptr || after == nullptr) return false;
+  patch_router_(lsdb, std::get<RouterLsa>(before->body),
+                std::get<RouterLsa>(after->body));
+  return true;
 }
 
 void NetworkView::patch_external_(std::uint64_t key, const ExternalLsa* live) {
@@ -131,7 +132,7 @@ void NetworkView::patch_external_(std::uint64_t key, const ExternalLsa* live) {
   }
 }
 
-bool NetworkView::patch_router_(const Lsdb& lsdb, const RouterLsa& before,
+void NetworkView::patch_router_(const Lsdb& lsdb, const RouterLsa& before,
                                 const RouterLsa& after) {
   const topo::NodeId origin = after.origin;
   FIB_ASSERT(before.origin == origin && origin < adj_.size(),
@@ -173,16 +174,13 @@ bool NetworkView::patch_router_(const Lsdb& lsdb, const RouterLsa& before,
         claims.push_back(Half{origin, link.metric, link.local_addr});
       }
     }
-    if (!repair_subnet_(prefix, origin, claims)) return false;
+    repair_subnet_(prefix, origin, claims);
   }
-  return true;
 }
 
-bool NetworkView::repair_subnet_(const net::Prefix& prefix, topo::NodeId origin,
+void NetworkView::repair_subnet_(const net::Prefix& prefix, topo::NodeId origin,
                                  const std::vector<Half>& mine) {
-  const auto record = std::lower_bound(
-      subnets_.begin(), subnets_.end(), prefix,
-      [](const Subnet& s, const net::Prefix& p) { return s.prefix < p; });
+  const auto record = std::ranges::lower_bound(subnets_, prefix, {}, &Subnet::prefix);
   const bool was_paired = record != subnets_.end() && record->prefix == prefix;
   const auto loose = unpaired_.find(prefix);
   std::vector<Half> claims;
@@ -200,47 +198,16 @@ bool NetworkView::repair_subnet_(const net::Prefix& prefix, topo::NodeId origin,
                 mine.begin(), mine.end());
 
   if (loose != unpaired_.end()) unpaired_.erase(loose);
-  if (was_paired && claims.size() == 2 && *record == paired(prefix, claims)) return true;
-  if (was_paired) {
-    fwd_index_.erase(record->addr_a);
-    fwd_index_.erase(record->addr_b);
-  }
-  const auto index = static_cast<std::uint32_t>(record - subnets_.begin());
   if (claims.size() == 2) {
     if (was_paired) {
       *record = paired(prefix, claims);
     } else {
       subnets_.insert(record, paired(prefix, claims));
-      renumber_from_(index + 1);
     }
-    return index_subnet_(index);
+    return;
   }
-  if (was_paired) {
-    subnets_.erase(record);
-    renumber_from_(index);
-  }
+  if (was_paired) subnets_.erase(record);
   if (!claims.empty()) unpaired_.emplace(prefix, std::move(claims));
-  return true;
-}
-
-void NetworkView::index_subnet_addresses_() {
-  fwd_index_.reserve(2 * subnets_.size());
-  for (std::uint32_t i = 0; i < subnets_.size(); ++i) index_subnet_(i);
-}
-
-bool NetworkView::index_subnet_(std::uint32_t i) {
-  const Subnet& subnet = subnets_[i];
-  const bool fresh_a = fwd_index_.emplace(subnet.addr_a, std::pair{i, subnet.a}).second;
-  const bool fresh_b = fwd_index_.emplace(subnet.addr_b, std::pair{i, subnet.b}).second;
-  if (!(fresh_a && fresh_b)) shared_address_ = true;
-  return fresh_a && fresh_b;
-}
-
-void NetworkView::renumber_from_(std::uint32_t first) {
-  for (std::uint32_t i = first; i < subnets_.size(); ++i) {
-    fwd_index_.at(subnets_[i].addr_a).first = i;
-    fwd_index_.at(subnets_[i].addr_b).first = i;
-  }
 }
 
 const std::vector<NetworkView::Edge>& NetworkView::edges_from(topo::NodeId n) const {
@@ -248,20 +215,23 @@ const std::vector<NetworkView::Edge>& NetworkView::edges_from(topo::NodeId n) co
   return adj_[n];
 }
 
-std::vector<net::Prefix> NetworkView::known_prefixes() const {
-  std::vector<net::Prefix> out;
-  for (const auto& att : attachments_) out.push_back(att.prefix);
-  for (const auto& ext : externals_) out.push_back(ext.prefix);
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
+const NetworkView::Subnet* NetworkView::subnet(const net::Prefix& prefix) const {
+  const auto it = std::ranges::lower_bound(subnets_, prefix, {}, &Subnet::prefix);
+  return it != subnets_.end() && it->prefix == prefix ? &*it : nullptr;
 }
 
 std::optional<NetworkView::FwdAddrMatch> NetworkView::resolve_forwarding_address(
     net::Ipv4 addr) const {
-  const auto it = fwd_index_.find(addr);
-  if (it == fwd_index_.end()) return std::nullopt;
-  return FwdAddrMatch{&subnets_[it->second.first], it->second.second};
+  // The last subnet whose network address is <= addr: under the addressing
+  // contract, the only one that can contain it.
+  const auto after = std::ranges::upper_bound(
+      subnets_, addr, {}, [](const Subnet& s) { return s.prefix.network(); });
+  if (after == subnets_.begin()) return std::nullopt;
+  const Subnet& s = *std::prev(after);
+  if (!s.prefix.contains(addr)) return std::nullopt;
+  if (addr == s.addr_a) return FwdAddrMatch{&s, s.a};
+  if (addr == s.addr_b) return FwdAddrMatch{&s, s.b};
+  return std::nullopt;
 }
 
 }  // namespace fibbing::igp

@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "igp/lsa.hpp"
@@ -71,39 +70,42 @@ class NetworkView {
   /// Patch a from_lsdb view in place for one change to that LSDB: instance
   /// `before` (null: the key was absent) gave way to `after` (null: the
   /// entry was erased). On true the view equals from_lsdb of the changed
-  /// LSDB again, field by field and in vector order. On false it is left
-  /// inconsistent and must be rebuilt with from_lsdb: the change adds or
-  /// removes a Router-LSA origin, which flips the two-way check of every
-  /// link naming it, or the view holds an interface address two subnets
-  /// share. `lsdb` only answers which origins are present, which a patch
-  /// never changes. External-LSAs must be keyed by external_ls_id, as every
-  /// one a router holds is.
+  /// LSDB again, field by field and in vector order. On false the change
+  /// adds or removes a Router-LSA origin, which flips the two-way check of
+  /// every link naming it: the view is left inconsistent and must be rebuilt
+  /// with from_lsdb. `lsdb` only answers which origins are present, which a
+  /// patch never changes. External-LSAs must be keyed by external_ls_id, as
+  /// every one a router holds is.
   [[nodiscard]] bool patch(const Lsdb& lsdb, const Lsa* before, const Lsa* after);
 
   [[nodiscard]] std::size_t node_count() const { return adj_.size(); }
   [[nodiscard]] const std::vector<Edge>& edges_from(topo::NodeId n) const;
+  /// Ordered by prefix, by both constructors and every patch.
   [[nodiscard]] const std::vector<Subnet>& subnets() const { return subnets_; }
   [[nodiscard]] const std::vector<Attachment>& attachments() const {
     return attachments_;
   }
   [[nodiscard]] const std::vector<External>& externals() const { return externals_; }
 
-  /// All prefixes known to the view (attached or announced externally),
-  /// deduplicated, deterministic order.
-  [[nodiscard]] std::vector<net::Prefix> known_prefixes() const;
+  /// The transfer subnet with exactly this prefix; null when the view holds
+  /// none. A binary search of the prefix-ordered subnets.
+  [[nodiscard]] const Subnet* subnet(const net::Prefix& prefix) const;
 
   /// The subnet owning an external forwarding address, with the pointed-to
-  /// side resolved: `entry` is the router whose interface address matches.
-  /// O(1): served from an address-indexed map built once at construction
-  /// (i.e. once per RouteCache generation), not by scanning the subnets.
+  /// side resolved: `pointed_router` is the router whose interface address
+  /// matches. A binary search of the prefix-ordered subnets, which relies on
+  /// the addressing contract: an interface address lies inside its own
+  /// transfer subnet, and transfer subnets are disjoint. Topology::add_link
+  /// allocates both addresses from a disjoint /30 pool, and proto's wire
+  /// translation rejects a link whose address lies outside its subnet. An
+  /// address outside every subnet, or inside one but on neither interface,
+  /// resolves to nullopt.
   struct FwdAddrMatch {
     const Subnet* subnet = nullptr;
     topo::NodeId pointed_router = topo::kInvalidNode;
   };
   [[nodiscard]] std::optional<FwdAddrMatch> resolve_forwarding_address(
       net::Ipv4 addr) const;
-
-  void add_external(const External& ext) { externals_.push_back(ext); }
 
   friend bool operator==(const NetworkView&, const NetworkView&) = default;
 
@@ -117,27 +119,16 @@ class NetworkView {
     friend bool operator==(const Half&, const Half&) = default;
   };
 
-  void index_subnet_addresses_();
-  /// Map subnets_[i]'s two interface addresses; false when one is taken.
-  bool index_subnet_(std::uint32_t i);
-  /// Re-point the addresses of subnets_[first..] after an insert or erase.
-  void renumber_from_(std::uint32_t first);
   void patch_external_(std::uint64_t key, const ExternalLsa* live);
-  bool patch_router_(const Lsdb& lsdb, const RouterLsa& before, const RouterLsa& after);
+  void patch_router_(const Lsdb& lsdb, const RouterLsa& before, const RouterLsa& after);
   /// Replace `origin`'s claims on `prefix` with `mine` and re-pair it.
-  bool repair_subnet_(const net::Prefix& prefix, topo::NodeId origin,
+  void repair_subnet_(const net::Prefix& prefix, topo::NodeId origin,
                       const std::vector<Half>& mine);
 
   std::vector<std::vector<Edge>> adj_;
   std::vector<Subnet> subnets_;
   std::vector<Attachment> attachments_;
   std::vector<External> externals_;
-  /// interface address -> (index into subnets_, owning router). Indices, not
-  /// pointers, so the default copy of a view stays self-contained.
-  std::unordered_map<net::Ipv4, std::pair<std::uint32_t, topo::NodeId>> fwd_index_;
-  /// Some interface address belongs to two subnets (fwd_index_ keeps the
-  /// first): patch refuses rather than re-derive that tie-break.
-  bool shared_address_ = false;
   /// from_lsdb views: the claims on each subnet without exactly two, by
   /// origin then link order -- a link whose far end has not re-originated
   /// yet, or a misconfiguration. They yield no Subnet, but patch needs them

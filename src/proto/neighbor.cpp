@@ -455,8 +455,14 @@ void NeighborSession::process_lsr_(const LsRequestBody& lsr) {
   send_update_batches_(response);
 }
 
-void NeighborSession::erase_rxmt_(std::map<LsaIdentity, WireLsa>::iterator it) {
-  const LsaIdentity id = it->first;
+const WireLsa& NeighborSession::stored_(const LsaIdentity& id) const {
+  const WireLsa* lsa = db_.lookup(id);
+  FIB_ASSERT(lsa != nullptr, "NeighborSession: a flooded identity left the database");
+  return *lsa;
+}
+
+void NeighborSession::erase_rxmt_(std::set<LsaIdentity>::iterator it) {
+  const LsaIdentity id = *it;
   rxmt_.erase(it);
   if (rxmt_.empty()) {
     events_.cancel(rxmt_timer_);
@@ -473,7 +479,7 @@ void NeighborSession::process_lsu_(const LsUpdateBody& lsu) {
     // Implied acknowledgment: an equal-or-newer instance from the peer
     // proves it holds what we flooded.
     if (const auto it = rxmt_.find(id);
-        it != rxmt_.end() && compare_instances(lsa.header, it->second.header) >= 0) {
+        it != rxmt_.end() && compare_instances(lsa.header, stored_(id).header) >= 0) {
       erase_rxmt_(it);
     }
     // An equal-or-newer arrival also supersedes a flood still coalescing
@@ -483,7 +489,7 @@ void NeighborSession::process_lsu_(const LsUpdateBody& lsu) {
     // the RFC 14 flush check never re-runs and the tombstone is stranded.
     if (const auto it = pending_flood_.find(id);
         it != pending_flood_.end() &&
-        compare_instances(lsa.header, it->second.header) >= 0) {
+        compare_instances(lsa.header, stored_(id).header) >= 0) {
       pending_flood_.erase(it);
       db_.on_flood_acked(id);
     }
@@ -543,22 +549,22 @@ void NeighborSession::process_lsack_(const LsAckBody& ack) {
   for (const LsaHeader& header : ack.headers) {
     const auto it = rxmt_.find(identity_of(header));
     if (it == rxmt_.end()) continue;
-    if (compare_instances(header, it->second.header) >= 0) erase_rxmt_(it);
+    if (compare_instances(header, stored_(*it).header) >= 0) erase_rxmt_(it);
   }
 }
 
-void NeighborSession::flood(const WireLsa& lsa) {
+void NeighborSession::flood(const LsaIdentity& id) {
   if (state_ < NeighborState::kExchange) return;  // DD snapshot covers it
   if (config_.flood_batch_window_s <= 0.0) {
-    rxmt_[identity_of(lsa.header)] = lsa;
-    send_update_batches_({&lsa});
+    rxmt_.insert(id);
+    send_update_batches_({&stored_(id)});
     schedule_rxmt_();
     return;
   }
   // RFC 13.5: coalesce floods landing within the batch window into one LS
-  // Update. A newer instance of a queued identity supersedes it in place,
-  // so a rapid re-origination costs one transmission, not two.
-  pending_flood_.insert_or_assign(identity_of(lsa.header), lsa);
+  // Update. A newer instance of a queued identity rides the same entry, so
+  // a rapid re-origination costs one transmission, not two.
+  pending_flood_.insert(id);
   arm_flood_flush_();
 }
 
@@ -577,8 +583,9 @@ void NeighborSession::flush_pending_floods_() {
   }
   std::vector<const WireLsa*> batch;
   batch.reserve(pending_flood_.size());
-  for (auto& [id, lsa] : pending_flood_) {
-    batch.push_back(&rxmt_.insert_or_assign(id, std::move(lsa)).first->second);
+  for (const LsaIdentity& id : pending_flood_) {
+    rxmt_.insert(id);
+    batch.push_back(&stored_(id));
   }
   pending_flood_.clear();
   send_update_batches_(batch);
@@ -597,7 +604,7 @@ void NeighborSession::on_rxmt_timer_() {
   if (state_ < NeighborState::kExchange || rxmt_.empty()) return;
   std::vector<const WireLsa*> unacked;
   unacked.reserve(rxmt_.size());
-  for (const auto& [id, lsa] : rxmt_) unacked.push_back(&lsa);
+  for (const LsaIdentity& id : rxmt_) unacked.push_back(&stored_(id));
   counters_.retransmissions += unacked.size();
   send_update_batches_(unacked);
   schedule_rxmt_();

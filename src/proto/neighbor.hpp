@@ -113,6 +113,14 @@ class DatabaseFacade {
   [[nodiscard]] virtual std::vector<LsaHeader> summarize() const = 0;
 
   /// The stored instance with this identity; null when absent.
+  ///
+  /// Sessions keep only identities on their retransmission list and flood
+  /// queue, and read the instance here whenever they send or compare it. An
+  /// implementation must therefore (a) flood every kNewer install or
+  /// origination to every session except the sender's, whose entry the
+  /// implied acknowledgment has already cleared, and (b) never erase an
+  /// identity a session still references(). Then every identity a session
+  /// holds is stored, and the stored instance is the one it must send.
   [[nodiscard]] virtual const WireLsa* lookup(const LsaIdentity& id) const = 0;
 
   /// A full, checksum-verified instance arrived from `from_router_id`.
@@ -156,12 +164,13 @@ class NeighborSession {
   /// A packet from the peer (already decoded and checksum-verified).
   void receive(const Packet& packet);
 
-  /// Flood an installed instance to this neighbor: sent as an LS Update and
-  /// tracked on the retransmission list until acknowledged. With a flood
-  /// batch window configured the instance is coalesced with other floods
-  /// landing inside the window into one LS Update (RFC 13.5). No-op below
+  /// Flood the stored instance of `id` to this neighbor: sent as an LS
+  /// Update and tracked on the retransmission list until acknowledged. With
+  /// a flood batch window configured the identity is coalesced with other
+  /// floods landing inside the window into one LS Update (RFC 13.5), which
+  /// carries whatever instance the database holds at flush time. No-op below
   /// Exchange -- the DD exchange covers everything installed before it.
-  void flood(const WireLsa& lsa);
+  void flood(const LsaIdentity& id);
 
   [[nodiscard]] NeighborState state() const { return state_; }
   /// Full, with nothing awaiting acknowledgment or queued: the adjacency's
@@ -216,7 +225,9 @@ class NeighborSession {
   /// advanced by InfTransDelay (RFC 13.3) -- the Fletcher checksum excludes
   /// the age field, so the instance stays byte-verifiable.
   void send_update_batches_(const std::vector<const WireLsa*>& lsas);
-  void erase_rxmt_(std::map<LsaIdentity, WireLsa>::iterator it);
+  void erase_rxmt_(std::set<LsaIdentity>::iterator it);
+  /// The database's instance of an identity this session holds.
+  [[nodiscard]] const WireLsa& stored_(const LsaIdentity& id) const;
   void schedule_rxmt_();
   void on_rxmt_timer_();
   // Liveness timers (armed only when hello_interval_s > 0).
@@ -260,11 +271,11 @@ class NeighborSession {
   std::set<LsaIdentity> wanted_ids_;
   std::map<LsaIdentity, LsRequestEntry> outstanding_;  ///< requested, not yet seen
 
-  std::map<LsaIdentity, WireLsa> rxmt_;  ///< flooded, awaiting ack
+  std::set<LsaIdentity> rxmt_;  ///< flooded, awaiting ack
   util::EventHandle rxmt_timer_;
-  /// Floods coalescing toward the next batch flush (RFC 13.5); newer
-  /// instances queued for the same identity supersede in place.
-  std::map<LsaIdentity, WireLsa> pending_flood_;
+  /// Floods coalescing toward the next batch flush (RFC 13.5); a newer
+  /// instance of a queued identity rides the same entry.
+  std::set<LsaIdentity> pending_flood_;
   util::EventHandle flood_flush_timer_;
   std::vector<LsaHeader> pending_ack_;  ///< delayed acknowledgments
   util::EventHandle ack_timer_;

@@ -701,6 +701,9 @@ class LsdbChurn {
   }
 
   [[nodiscard]] const topo::Topology& topo() const { return topo_; }
+  /// How many re-addressed interfaces (10.250.0.1, 10.250.0.2, ...) the
+  /// churn has handed out so far.
+  [[nodiscard]] std::uint32_t fresh_addresses() const { return fresh_; }
 
   Step next(bool router_erase) {
     std::vector<NodeId> absent;
@@ -848,19 +851,60 @@ class LsdbChurn {
   std::uint32_t fresh_ = 0;
 };
 
+/// A forwarding address's resolution as (subnet prefix, pointed router).
+using Resolution = std::optional<std::pair<net::Prefix, NodeId>>;
+
+Resolution resolve(const NetworkView& view, net::Ipv4 addr) {
+  const auto match = view.resolve_forwarding_address(addr);
+  if (!match) return std::nullopt;
+  return std::pair{match->subnet->prefix, match->pointed_router};
+}
+
+/// The addressing contract by linear scan: the subnet that contains `addr`
+/// and has it on one of its two interfaces.
+Resolution resolve_by_scan(const NetworkView& view, net::Ipv4 addr) {
+  for (const NetworkView::Subnet& s : view.subnets()) {
+    if (!s.prefix.contains(addr)) continue;
+    if (addr == s.addr_a) return std::pair{s.prefix, s.a};
+    if (addr == s.addr_b) return std::pair{s.prefix, s.b};
+  }
+  return std::nullopt;
+}
+
+net::Ipv4 broadcast_of(const net::Prefix& prefix) {
+  return net::Ipv4(prefix.network().bits() | ~net::mask_for(prefix.length()));
+}
+
 TEST(ViewPatch, EqualsRebuildAfterEveryLsdbChange) {
   // The in-place view's oracle: after every install and erase, the patched
   // view equals from_lsdb of the same LSDB field by field -- adjacency,
-  // subnets, attachments and externals in vector order, the forwarding
-  // index, and the claims of unpaired subnets. Only a change of the set of
-  // Router-LSA origins may refuse the patch.
+  // subnets, attachments and externals in vector order, and the claims of
+  // unpaired subnets -- and both resolve a fixed address set exactly as a
+  // linear scan of the subnets does. Only a change of the set of Router-LSA
+  // origins may refuse the patch.
+  constexpr std::uint32_t kFreshProbes = 512;
   for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     LsdbChurn churn(seed, 14);
-    const std::size_t n = churn.topo().node_count();
+    const topo::Topology& t = churn.topo();
+    const std::size_t n = t.node_count();
+    // Every interface, each transfer subnet's network and broadcast
+    // address, a dangling address, and the churn's re-addressed interfaces
+    // (which lie outside their subnets, so never resolve).
+    std::vector<net::Ipv4> probes{net::Ipv4(192, 0, 2, 1)};
+    for (topo::LinkId l = 0; l < t.link_count(); ++l) {
+      probes.push_back(t.link(l).local_addr);
+      probes.push_back(t.link(l).subnet.network());
+      probes.push_back(broadcast_of(t.link(l).subnet));
+    }
+    for (std::uint32_t k = 1; k <= kFreshProbes; ++k) {
+      probes.push_back(net::Ipv4(10, 250, static_cast<std::uint8_t>(k >> 8),
+                                 static_cast<std::uint8_t>(k)));
+    }
     Lsdb lsdb;
     NetworkView view = NetworkView::from_lsdb(lsdb, n);
     std::size_t refused = 0;
+    std::size_t resolved = 0;
     for (int step = 0; step < 800; ++step) {
       const LsdbChurn::Step next = churn.next(/*router_erase=*/true);
       bool patched = false;
@@ -881,11 +925,41 @@ TEST(ViewPatch, EqualsRebuildAfterEveryLsdbChange) {
       if (!patched) {
         ++refused;
         view = rebuilt;
-        continue;
       }
       ASSERT_TRUE(view == rebuilt) << "step " << step << ": " << to_string(next.lsa);
+      for (const net::Ipv4 addr : probes) {
+        const Resolution expected = resolve_by_scan(rebuilt, addr);
+        ASSERT_EQ(resolve(view, addr), expected)
+            << "step " << step << ": " << addr.to_string();
+        ASSERT_EQ(resolve(rebuilt, addr), expected)
+            << "step " << step << ": " << addr.to_string();
+        if (expected) ++resolved;
+      }
     }
     EXPECT_LT(refused, 100u);
+    EXPECT_GT(resolved, 0u);
+    EXPECT_LE(churn.fresh_addresses(), kFreshProbes);
+  }
+}
+
+TEST(ViewResolve, DownedLinkAddressesDangleInTopologyView) {
+  // from_topology under a mask omits a downed link's transfer subnet, so
+  // its two interface addresses resolve to nothing; every other interface
+  // still resolves to its own router.
+  util::Rng rng(11);
+  const topo::Topology t = topo::make_waxman(20, rng);
+  topo::LinkStateMask mask(t);
+  ASSERT_TRUE(mask.fail(0));
+  const NetworkView view = NetworkView::from_topology(t, {}, &mask);
+  for (topo::LinkId l = 0; l < t.link_count(); ++l) {
+    const topo::Link& link = t.link(l);
+    const Resolution got = resolve(view, link.local_addr);
+    EXPECT_EQ(got, resolve_by_scan(view, link.local_addr)) << "link " << l;
+    if (mask.is_down(l)) {
+      EXPECT_EQ(got, std::nullopt) << "link " << l;
+    } else {
+      EXPECT_EQ(got, std::pair(link.subnet, link.from)) << "link " << l;
+    }
   }
 }
 

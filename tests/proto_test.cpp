@@ -625,7 +625,7 @@ TEST(NeighborFsm, FloodIsAcknowledgedAndRetransmittedOnLoss) {
   // Clean flood: delivered, installed, acked.
   const WireLsa update = sample_router(77, 1, kInitialSequence + 4);
   pair.db_a.seed(update);
-  pair.a->flood(update);
+  pair.a->flood(identity_of(update.header));
   pair.events.run();
   EXPECT_TRUE(pair.a->synchronized());
   EXPECT_NE(pair.db_b.lookup(identity_of(update.header)), nullptr);
@@ -636,12 +636,44 @@ TEST(NeighborFsm, FloodIsAcknowledgedAndRetransmittedOnLoss) {
   const WireLsa update2 = sample_router(77, 1, kInitialSequence + 5);
   pair.db_a.seed(update2);
   pair.drop_next_toward_b = 1;
-  pair.a->flood(update2);
+  pair.a->flood(identity_of(update2.header));
   pair.events.run();
   EXPECT_TRUE(pair.a->synchronized());
   EXPECT_GE(pair.a->counters().retransmissions, 1u);
   EXPECT_EQ(pair.db_b.lookup(identity_of(update2.header))->header.seq,
             kInitialSequence + 5);
+}
+
+TEST(NeighborFsm, BatchedFloodsCarryTheInstanceStoredAtSendTime) {
+  // The flood queue and the retransmission list hold identities only: each
+  // send reads the instance the database holds at that moment.
+  SessionConfig config;
+  config.flood_batch_window_s = 0.02;
+  SessionPair pair(config);
+  pair.bring_up();
+  ASSERT_TRUE(pair.a->synchronized());
+  const LsaIdentity id = identity_of(sample_router(88, 1).header);
+
+  // v2 lands inside v1's batch window: one LSA crosses, carrying v2.
+  const std::uint64_t lsas_before = pair.a->counters().lsas_sent;
+  pair.db_a.seed(sample_router(88, 1, kInitialSequence + 1));
+  pair.a->flood(id);
+  pair.db_a.seed(sample_router(88, 1, kInitialSequence + 2));
+  pair.a->flood(id);
+  pair.events.run();
+  EXPECT_TRUE(pair.a->synchronized());
+  EXPECT_EQ(pair.a->counters().lsas_sent - lsas_before, 1u);
+  ASSERT_NE(pair.db_b.lookup(id), nullptr);
+  EXPECT_EQ(pair.db_b.lookup(id)->header.seq, kInitialSequence + 2);
+
+  // v3's LS Update evaporates; the retransmission delivers v3.
+  pair.db_a.seed(sample_router(88, 1, kInitialSequence + 3));
+  pair.drop_next_toward_b = 1;
+  pair.a->flood(id);
+  pair.events.run();
+  EXPECT_TRUE(pair.a->synchronized());
+  EXPECT_GE(pair.a->counters().retransmissions, 1u);
+  EXPECT_EQ(pair.db_b.lookup(id)->header.seq, kInitialSequence + 3);
 }
 
 TEST(NeighborFsm, ShutdownDropsToDownAndForgetsState) {
